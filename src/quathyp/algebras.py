@@ -59,6 +59,17 @@ def ramification_set(D: QuaternionAlgebra) -> frozenset[Place]:
     )
 
 
+def ramified_real_places(D: QuaternionAlgebra) -> tuple[Place, ...]:
+    """The real places where D ramifies, in the field's order.
+
+    (a,b)_v = -1 at a real place exactly when a and b are both negative
+    under v, so this reads signs and factors nothing.
+    """
+    return tuple(
+        v for v in D.field.real_places() if hilbert_symbol(D.a, D.b, v) == -1
+    )
+
+
 def is_division(D: QuaternionAlgebra) -> bool:
     """Division algebra <=> ramified somewhere (else a 2x2 matrix algebra)."""
     return bool(ramification_set(D))

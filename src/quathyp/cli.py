@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import serialize
-from .algebras import is_division, ramification_set
+from .algebras import is_division, ramification_set, ramified_real_places
 from .commensurability import (
     canonical_hermitian,
     field_automorphisms,
@@ -122,12 +122,9 @@ def _cmd_invariants(args):
         q = trace_form(h)
         kind = "hermitian"
         header = f"trace-form invariants of {h}"
-        sig_places = [
-            v for v in h.field.real_places() if v in ramification_set(h.algebra)
-        ]
         sig = {
             serialize.place_to_str(v): list(signature_at_ramified(h, v))
-            for v in sig_places
+            for v in ramified_real_places(h.algebra)
         }
     else:
         q = serialize.parse_quadratic_form(payload)

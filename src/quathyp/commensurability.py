@@ -19,7 +19,7 @@ from .algebras import (
     algebras_isomorphic,
     conjugate_algebra,
     is_division,
-    ramification_set,
+    ramified_real_places,
 )
 from .errors import (
     DimensionMismatchError,
@@ -75,8 +75,7 @@ class AdmissibleTriple:
 def is_admissible(t: AdmissibleTriple) -> bool:
     """Totally real field (always, here) and algebra ramified at every
     real place."""
-    ram = ramification_set(t.algebra)
-    return all(v in ram for v in t.field.real_places())
+    return ramified_real_places(t.algebra) == t.field.real_places()
 
 
 def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
@@ -164,7 +163,7 @@ def triple_of(desc: OrbifoldClassDescriptor) -> AdmissibleTriple:
         raise NotQuaternionicHyperbolicError("split descriptors carry no triple")
     h = desc.form
     field, D = h.field, h.algebra
-    ram = ramification_set(D)
+    ram = ramified_real_places(D)
     for v in field.real_places():
         if v not in ram:
             raise NotQuaternionicHyperbolicError(
@@ -232,10 +231,10 @@ def general_cn_commensurable(
         return False
     h1, h2 = d1.form, d2.form
     D1 = h1.algebra
+    ram_reals = ramified_real_places(D1)
     for tau in field_automorphisms(d1.field):
         if not algebras_isomorphic(D1, algebra_image(tau, h2.algebra)):
             continue
-        ram_reals = [v for v in d1.field.real_places() if v in ramification_set(D1)]
         if all(
             _unordered(signature_at_ramified(h1, v))
             == _unordered(signature_at_ramified(h2, place_image(tau, v)))

@@ -381,6 +381,13 @@ def sign_at_real_place(x: FieldElement, v: Place) -> int:
     return 1 if a1 > 0 else -1
 
 
+def real_signature(coeffs, v: Place) -> tuple[int, int]:
+    """Counts (positive, negative) of a tuple of nonzero diagonal
+    coefficients under the real embedding v."""
+    plus = sum(1 for c in coeffs if sign_at_real_place(c, v) > 0)
+    return plus, len(coeffs) - plus
+
+
 # ---------------------------------------------------------------------------
 # Valuations and residue characters at finite places
 # ---------------------------------------------------------------------------

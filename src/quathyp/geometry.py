@@ -440,19 +440,34 @@ def killing_metric_ratios(m: int, samples: int, seed: int) -> np.ndarray:
     return out
 
 
+#: g(w, w) for the unit corner direction w at the base point
+CORNER_METRIC = 4.0
+
+
+def killing_corner_value(m: int) -> float:
+    """kappa(X1(1), X1(1)) = 8(m+2).
+
+    The Killing form of sp(2n, C) is (2n+2) tr(XY) in the defining
+    representation, and sp(m,1) sits in sp(2m+2, C), so n = m+1.  The
+    unit corner generator X1(1) has tr_C(rho(X1)^2) = 4.
+    """
+    return 8.0 * (m + 2)
+
+
+def killing_metric_ratio(m: int) -> float:
+    """kappa/g on horizontal vectors: 8(m+2) / g(w,w) = 2(m+2)."""
+    return killing_corner_value(m) / CORNER_METRIC
+
+
 def metric_scaling_check(
     m: int, samples: int = 100, seed: int = 0, reference: float | None = None
 ) -> float:
     """Max deviation of kappa/g from the reference constant over random
-    horizontal tangent vectors.
-
-    The default reference is 2(m+2).  The Killing form of sp(2n, C) is
-    (2n+2) tr(XY) in the defining representation, and sp(m,1) sits in
-    sp(2m+2, C), so n = m+1.  The unit corner generator X1(1) has
-    tr_C(rho(X1)^2) = 4, hence kappa = 8(m+2), while g(w,w) = 4.
+    horizontal tangent vectors; the default reference is
+    :func:`killing_metric_ratio`.
     """
     if reference is None:
-        reference = 2.0 * (m + 2)
+        reference = killing_metric_ratio(m)
     ratios = killing_metric_ratios(m, samples, seed)
     return float(np.abs(ratios - reference).max())
 
@@ -654,7 +669,7 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     Each entry records the computed value, the reference it is held
     against, and a pass flag.  The two Killing-normalization checks hold
     kappa(X1(1), X1(1)) against 8(m+2) and kappa/g against 2(m+2) (see
-    ``metric_scaling_check`` for the derivation).
+    :func:`killing_corner_value` for the derivation).
     """
     if m < 2:
         raise ValueError("the report needs m >= 2")
@@ -689,13 +704,13 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     g_base = float(metric_at(base_point(m), w, w)[0])
     checks.append(
         _report_check(
-            "base-metric", g_base, 4.0, abs(g_base - 4.0) <= 1e-12,
+            "base-metric", g_base, CORNER_METRIC, abs(g_base - CORNER_METRIC) <= 1e-12,
             f"g(w,w) = {g_base:.12g} for the unit corner direction",
         )
     )
 
     kappa = killing_value(X_element(m, 1, QUAT_ONE), X_element(m, 1, QUAT_ONE), m)
-    ref_kappa = 8.0 * (m + 2)
+    ref_kappa = killing_corner_value(m)
     checks.append(
         _report_check(
             "killing-x1", kappa, ref_kappa, abs(kappa - ref_kappa) <= 1e-9,
@@ -704,7 +719,7 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     )
 
     ratios = killing_metric_ratios(m, samples, seed)
-    ref_ratio = 2.0 * (m + 2)
+    ref_ratio = killing_metric_ratio(m)
     ratio_dev = float(np.abs(ratios - ref_ratio).max())
     checks.append(
         _report_check(

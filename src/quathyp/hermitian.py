@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebras import QuaternionAlgebra, is_division, ramification_set
+from .algebras import QuaternionAlgebra, is_division, ramified_real_places
 from .errors import (
     AlgebraMismatchError,
     DimensionMismatchError,
@@ -19,7 +19,7 @@ from .errors import (
     NotRamifiedAtPlaceError,
     PlaceKindError,
 )
-from .fields import Field, FieldElement, Place, sign_at_real_place
+from .fields import Field, FieldElement, Place, real_signature
 from .quadratic import (
     LocalQuadInvariants,
     QuadraticForm,
@@ -70,12 +70,6 @@ def hermitian_form(algebra: QuaternionAlgebra, *entries) -> HermitianForm:
         e if isinstance(e, FieldElement) else field.element(e) for e in entries
     )
     return HermitianForm(algebra, coeffs)
-
-
-def restriction_form(h: HermitianForm) -> QuadraticForm:
-    """The quadratic form over k with the same diagonal entries (the
-    restriction of h to the central line of each coordinate)."""
-    return QuadraticForm(h.field, h.coeffs)
 
 
 def trace_form(h: HermitianForm) -> QuadraticForm:
@@ -142,12 +136,11 @@ def signature_at_ramified(h: HermitianForm, v: Place) -> tuple[int, int]:
     """
     if not v.is_real:
         raise PlaceKindError(f"signature requires a real place, got {v}")
-    if v not in ramification_set(h.algebra):
+    if v not in ramified_real_places(h.algebra):
         raise NotRamifiedAtPlaceError(
             f"{h.algebra} is split at {v}; no signature is defined there"
         )
-    plus = sum(1 for c in h.coeffs if sign_at_real_place(c, v) > 0)
-    return plus, h.dim - plus
+    return real_signature(h.coeffs, v)
 
 
 def hermitian_isotropic_global(h: HermitianForm) -> bool:

@@ -19,10 +19,10 @@ from .fields import (
     Place,
     is_global_square,
     is_local_square,
-    sign_at_real_place,
+    real_signature,
 )
 from .numtheory import squarefree_part
-from .symbols import hilbert_symbol, support_with
+from .symbols import hilbert_symbol, symbol_support
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ def signature_at(q: QuadraticForm, v: Place) -> tuple[int, int]:
     """Counts of positive and negative coefficient signs under v."""
     if not v.is_real:
         raise PlaceKindError(f"signature requires a real place, got {v}")
-    plus = sum(1 for c in q.coeffs if sign_at_real_place(c, v) > 0)
-    return plus, q.dim - plus
+    return real_signature(q.coeffs, v)
 
 
 def hasse_invariant(q: QuadraticForm, v: Place) -> int:
@@ -138,7 +137,7 @@ def local_invariants(q: QuadraticForm, v: Place) -> LocalQuadInvariants:
 def form_support(q: QuadraticForm) -> tuple[Place, ...]:
     """Places outside which all of q's local data is trivial: the real
     places plus the joint symbol support of the coefficients."""
-    return support_with(q.field, *q.coeffs)
+    return symbol_support(*q.coeffs)
 
 
 def forms_isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:

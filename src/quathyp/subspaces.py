@@ -32,7 +32,7 @@ from .errors import (
     SquareArgumentError,
     SubfieldEmbeddingError,
 )
-from .fields import FieldElement, Place, sign_at_real_place
+from .fields import FieldElement, real_signature
 from .hermitian import HermitianForm, hermitian_isometric
 from .quadratic import QuadraticForm, isotropic_global, signature_at
 
@@ -63,10 +63,7 @@ def finite_volume_flag(h: HermitianForm) -> bool:
     indefinite (hence isotropic) at some real place."""
     if h.dim < 2:
         return False
-    return any(
-        len({sign_at_real_place(c, v) for c in h.coeffs}) == 2
-        for v in h.field.real_places()
-    )
+    return any(0 not in real_signature(h.coeffs, v) for v in h.field.real_places())
 
 
 def restriction_real(h: HermitianForm) -> QuadraticForm:
@@ -168,16 +165,11 @@ class EmbeddingVerdict:
             raise ValueError("negative verdicts must name the failed condition")
 
 
-def _coefficient_signature(coeffs, v: Place) -> tuple[int, int]:
-    signs = [sign_at_real_place(c, v) for c in coeffs]
-    return signs.count(1), signs.count(-1)
-
-
 def _check_hyperbolic_signatures(coeffs, t: AdmissibleTriple, dim: int) -> None:
     # (dim-1, 1) at the distinguished place, definite at the others
     for v in t.field.real_places():
         expected = (dim - 1, 1) if v == t.v0 else (dim, 0)
-        got = _coefficient_signature(coeffs, v)
+        got = real_signature(coeffs, v)
         if got != expected:
             raise SignaturePreconditionError(
                 f"signature at {v} is {got}, required {expected}"

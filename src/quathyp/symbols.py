@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .errors import FieldMismatchError
 from .fields import (
-    Field,
     FieldElement,
     Place,
     element_support_primes,
@@ -100,24 +99,26 @@ def hilbert_symbol(a: FieldElement, b: FieldElement, v: Place) -> int:
     return prod
 
 
-def symbol_support(a: FieldElement, b: FieldElement) -> tuple[Place, ...]:
-    """A finite set of places guaranteed to contain {v : (a,b)_v = -1}.
+def symbol_support(*elements: FieldElement) -> tuple[Place, ...]:
+    """A finite set of places guaranteed to contain every place where a
+    Hilbert symbol of two of the elements is -1.
 
     All real places; all places over 2 and over odd primes dividing the
-    field discriminant, the numerators/denominators of the norms of a
-    and b, or the coordinate denominators of a and b.  At any place
-    outside this set both arguments are units at an odd unramified place,
-    where the tame symbol is +1.  (Coordinate denominators matter: at a
-    split place the two valuations only sum to the valuation of the
-    norm, so they can be nonzero with a clean norm.)
+    field discriminant, the numerators/denominators of the elements'
+    norms, or their coordinate denominators.  At any place outside this
+    set every element is a unit at an odd unramified place, where the
+    tame symbol is +1.  (Coordinate denominators matter: at a split
+    place the two valuations only sum to the valuation of the norm, so
+    they can be nonzero with a clean norm.)
     """
-    if not a or not b:
-        raise ValueError("symbol support requires nonzero arguments")
-    if a.field != b.field:
+    if not elements or not all(elements):
+        raise ValueError("symbol support requires one or more nonzero elements")
+    field = elements[0].field
+    if any(x.field != field for x in elements):
         raise FieldMismatchError("support arguments must share one field")
-    field = a.field
     odd_primes: set[int] = set(factor(field.discriminant))
-    odd_primes |= element_support_primes(a) | element_support_primes(b)
+    for x in elements:
+        odd_primes |= element_support_primes(x)
     odd_primes.discard(2)
     places = list(field.real_places())
     places.extend(places_above(field, 2))
@@ -139,21 +140,3 @@ def product_formula_check(a: FieldElement, b: FieldElement) -> bool:
     for v in symbol_support(a, b):
         prod *= hilbert_symbol(a, b, v)
     return prod == 1
-
-
-def support_with(field: Field, *elements: FieldElement) -> tuple[Place, ...]:
-    """Joint symbol-style support for any number of nonzero elements.
-
-    Used by form-level invariants: real places, places over 2 and over
-    the discriminant, plus places over every prime visible in any
-    element's norm or coordinate denominators.
-    """
-    odd_primes: set[int] = set(factor(field.discriminant))
-    for x in elements:
-        odd_primes |= element_support_primes(x)
-    odd_primes.discard(2)
-    places = list(field.real_places())
-    places.extend(places_above(field, 2))
-    for p in sorted(odd_primes):
-        places.extend(places_above(field, p))
-    return tuple(sorted(places, key=Place.sort_key))

@@ -13,6 +13,7 @@ from quathyp.algebras import (
     norm_form,
     quaternion_algebra,
     ramification_set,
+    ramified_real_places,
     subfield_embeds,
 )
 from fractions import Fraction
@@ -98,6 +99,19 @@ class TestRamification:
         assert ramification_set(quaternion_algebra(QQ, 5, -4)) == frozenset()
         H = quaternion_algebra(QQ, -1, -1)
         assert ramification_set(H)
+
+    def test_ramified_real_places_read_signs(self):
+        """The sign rule agrees with the real part of the full
+        ramification set, which factors the parameters."""
+        rng = random.Random(5)
+        for field in (QQ, Field(5), Field(3), Field(6)):
+            for _ in range(25):
+                a0, b0 = random_pair()
+                a1 = 0 if field.is_rational else rng.randint(-4, 4)
+                b1 = 0 if field.is_rational else rng.randint(-4, 4)
+                D = quaternion_algebra(field, field.element(a0, a1), field.element(b0, b1))
+                expected = {v for v in ramification_set(D) if v.is_real}
+                assert set(ramified_real_places(D)) == expected, str(D)
 
     def test_division_vs_split(self):
         H = quaternion_algebra(QQ, -1, -1)

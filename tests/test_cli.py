@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import quathyp
 from quathyp.cli import main
 
 RATIONAL = '{"base": "Q"}'
@@ -269,10 +271,14 @@ class TestErrorHandling:
 
 
 def test_console_script_is_installed():
+    # the child interpreter imports the same quathyp as this test process
+    root = os.path.dirname(os.path.dirname(quathyp.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "quathyp.cli", "symbol", "--place", "3", "--", "-1", "-3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "(-1, -3)_3 = -1" in proc.stdout

@@ -42,6 +42,27 @@ def hamilton_over(k):
     return quaternion_algebra(k, k.element(-1), k.element(-1))
 
 
+class TestRealPlaceQuestionsDoNotFactor:
+    @pytest.mark.parametrize("field", [QQ, Field(5), Field(6)])
+    def test_no_ramification_set_behind_real_place_questions(self, field, monkeypatch):
+        """Admissibility, triple extraction, the canonical form and
+        signatures only look at real places, where (a,b)_v is read off
+        the signs; none of them may build the ramification set, which
+        factors the parameters."""
+        t = AdmissibleTriple(field, field.real_places()[0], hamilton_over(field))
+        desc = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 3))
+
+        def refuse(*args):
+            raise AssertionError("ramification set built for a real-place question")
+
+        monkeypatch.setattr("quathyp.algebras.symbol_support", refuse)
+        assert is_admissible(t)
+        assert triple_of(desc) == t
+        h = canonical_hermitian(t, 3)
+        for v in field.real_places():
+            assert signature_at_ramified(h, v) == ((3, 1) if v == t.v0 else (4, 0))
+
+
 class TestFieldAutomorphisms:
     def test_enumeration(self):
         assert field_automorphisms(QQ) == (IDENTITY,)

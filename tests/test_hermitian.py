@@ -17,7 +17,6 @@ from quathyp.hermitian import (
     hermitian_form,
     hermitian_isometric,
     hermitian_isotropic_global,
-    restriction_form,
     signature_at_ramified,
     trace_form,
     trace_invariants_closed,
@@ -28,6 +27,7 @@ from quathyp.quadratic import (
     local_invariants,
     same_square_class,
 )
+from quathyp.subspaces import restriction_real
 
 RNG = random.Random(417)
 
@@ -79,7 +79,7 @@ class TestTraceForm:
     def test_restriction_keeps_diagonal(self):
         D = quaternion_algebra(QQ, -1, -1)
         h = hermitian_form(D, 1, -3, 5)
-        r = restriction_form(h)
+        r = restriction_real(h)
         assert r.field is QQ
         assert [c.a0 for c in r.coeffs] == [1, -3, 5]
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from quathyp.errors import UnsupportedDyadicPlaceError
+from quathyp.errors import FieldMismatchError, UnsupportedDyadicPlaceError
 from quathyp.fields import QQ, Field, Place, places_above
 from quathyp.symbols import hilbert_symbol, product_formula_check, symbol_support
 
@@ -171,6 +171,18 @@ class TestSupport:
         x = k.element(Fraction(21, 11), Fraction(8, 11))
         support = symbol_support(x, k.one)
         assert any(v.p == 11 for v in support if v.is_finite)
+        # n-ary: the joint support of several elements is the union of
+        # their pairwise supports, and every element is checked
+        y = k.element(7, -3)
+        joint = symbol_support(x, k.one, y)
+        assert set(joint) == set(support) | set(symbol_support(y, k.one))
+        assert list(joint) == sorted(joint, key=Place.sort_key)
+        with pytest.raises(ValueError):
+            symbol_support()
+        with pytest.raises(ValueError):
+            symbol_support(x, k.one, k.element(0))
+        with pytest.raises(FieldMismatchError):
+            symbol_support(x, QQ.one, k.one)
 
 
 class TestReciprocity:
