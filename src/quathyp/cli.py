@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import serialize
-from .algebras import is_division, ramification_set, ramified_real_places
+from .algebras import ramification_set, ramified_real_places
 from .commensurability import (
     canonical_hermitian,
     field_automorphisms,
@@ -105,7 +105,7 @@ def _cmd_ramification(args):
     result = {
         "algebra": serialize.algebra_to_json(D, with_field=True),
         "ramified": names,
-        "division": is_division(D),
+        "division": bool(ram),
     }
     lines = [
         f"{D} ramifies at: {', '.join(names) if names else '(nowhere: split)'}",

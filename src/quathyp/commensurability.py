@@ -26,7 +26,7 @@ from .errors import (
     NotQuaternionicHyperbolicError,
     UnsupportedRankError,
 )
-from .fields import Field, FieldElement, Place, conjugate_place
+from .fields import Field, Place, conjugate_place
 from .hermitian import HermitianForm, signature_at_ramified
 
 IDENTITY = "id"

@@ -21,7 +21,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 #: membership in the isometry group / Lie algebra
 GROUP_TOLERANCE = 1e-9
@@ -32,6 +31,8 @@ SPAN_TOLERANCE = 1e-8
 #: how far below 1 the distance argument may fall before it is an error
 CLAMP_TOLERANCE = 1e-12
 ZERO_BAND = 64.0 * np.finfo(float).eps
+#: largest m the consolidated report accepts (its cost grows like m^4)
+MAX_REPORT_M = 16
 
 TOTALLY_REAL = "totally-real"
 TOTALLY_COMPLEX = "totally-complex"
@@ -143,11 +144,6 @@ def form_h(v, w) -> np.ndarray:
     return terms[:-1].sum(axis=0) - terms[-1]
 
 
-def is_negative(v) -> bool:
-    """Whether v spans a negative line: h(v, v) < 0."""
-    return float(form_h(v, v)[0]) < 0.0
-
-
 def distance(v1, v2, clamp_tolerance: float = CLAMP_TOLERANCE) -> float:
     """Hyperbolic distance between the negative lines of v1 and v2:
     2 arccosh sqrt(h(v1,v2) h(v2,v1) / (h(v1,v1) h(v2,v2))).
@@ -180,12 +176,6 @@ def metric_at(v, w1, w2) -> np.ndarray:
         raise ValueError("metric is defined only at negative vectors")
     value = hvv * form_h(w1, w2) - quat_mul(form_h(w1, v), form_h(v, w2))
     return -4.0 * value / (hvv * hvv)
-
-
-def project_to_line(v, w) -> np.ndarray:
-    """Component of w along the line of v: v . h(v,w) / h(v,v)."""
-    hvv = float(form_h(v, v)[0])
-    return quat_mul(np.asarray(v, float), form_h(v, w)) / hvv
 
 
 def base_point(m: int) -> np.ndarray:
@@ -276,9 +266,28 @@ def from_complex_matrix(M) -> np.ndarray:
     return out
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp of a complex square matrix by scaling and squaring (Higham,
+    *Functions of Matrices*, Ch. 10): scale to 1-norm <= 1/2, sum the
+    Taylor series to degree 18, square back."""
+    norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential of a non-finite matrix")
+    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    X = M / 2.0**squarings
+    term = np.eye(M.shape[0], dtype=complex)
+    out = term.copy()
+    for k in range(1, 19):
+        term = term @ X / k
+        out += term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
 def matrix_exp(A) -> np.ndarray:
     """exp of a quaternion matrix through its complex representation."""
-    return from_complex_matrix(scipy.linalg.expm(to_complex_matrix(A)))
+    return from_complex_matrix(_expm(to_complex_matrix(A)))
 
 
 def random_sp_element(m: int, seed: int) -> np.ndarray:
@@ -387,30 +396,16 @@ def coordinates(A, m: int) -> np.ndarray:
     return _basis_pinv(m) @ np.asarray(A, dtype=float).ravel()
 
 
-def ad_matrix(A, m: int) -> np.ndarray:
-    """The adjoint action bracket(A, -) as a real matrix in basis
-    coordinates."""
-    cols = [coordinates(bracket(A, E), m) for E in _cached_basis(m)]
-    return np.stack(cols, axis=1)
-
-
-@lru_cache(maxsize=None)
-def _killing_gram(m: int) -> np.ndarray:
-    ads = [ad_matrix(E, m) for E in _cached_basis(m)]
-    N = len(ads)
-    K = np.empty((N, N))
-    for i in range(N):
-        for j in range(i, N):
-            K[i, j] = K[j, i] = np.trace(ads[i] @ ads[j])
-    K.setflags(write=False)
-    return K
-
-
 def killing_value(A, B, m: int) -> float:
-    """Trace of ad(A) ad(B) on the 2m^2+5m+3-dimensional algebra."""
-    ca = coordinates(A, m)
-    cb = coordinates(B, m)
-    return float(ca @ _killing_gram(m) @ cb)
+    """Killing form of sp(m,1): (2m+4) Re tr(rho(A) rho(B)) in the
+    complex image rho (see :func:`killing_corner_value`), which equals
+    the trace of ad(A) ad(B) on the 2m^2+5m+3-dimensional algebra."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.shape != (m + 1, m + 1, 4) or B.shape != A.shape:
+        raise ValueError(f"expected two ({m + 1}, {m + 1}, 4) quaternion matrices")
+    trace = np.einsum("ij,ji->", to_complex_matrix(A), to_complex_matrix(B))
+    return (2 * m + 4) * float(trace.real)
 
 
 def tangent_of_corner(X, m: int) -> np.ndarray:
@@ -485,20 +480,6 @@ def h0(v, w) -> np.ndarray:
     return quat_mul(quat_conj(v), w).sum(axis=0)
 
 
-def triple_product(v, w, u) -> np.ndarray:
-    """The double-bracket tangent value
-    v h0(w,u) - w h0(v,u) - u (h0(v,w) - h0(w,v))
-    (entrywise right multiplication)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return (
-        quat_mul(v, h0(w, u))
-        - quat_mul(w, h0(v, u))
-        - quat_mul(u, h0(v, w) - h0(w, v))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class SubspaceSpan:
     """A real-linear subspace of the tangent space H^m, given by
@@ -527,26 +508,40 @@ class SubspaceSpan:
         return Q[:, : self.count]
 
 
+def _h0_gram(vectors: np.ndarray) -> np.ndarray:
+    """All pairing values h0(v_a, v_b) of a (k, m, 4) stack, as (k, k, 4)."""
+    return quat_mul(quat_conj(vectors)[:, None], vectors[None, :]).sum(axis=2)
+
+
+#: floats per intermediate array in :func:`lie_triple_closure`; larger
+#: spans (up to k = 4m vectors) are checked in slices of the first index
+_CLOSURE_CHUNK = 1 << 18
+
+
 def lie_triple_closure(W: SubspaceSpan) -> bool:
     """Whether the span is closed under the double-bracket triple
-    product: every triple value stays inside within tolerance."""
+    product: every value v_i h0(v_j, v_l) - v_j h0(v_i, v_l)
+    - v_l (h0(v_i, v_j) - h0(v_j, v_i)) (entrywise right multiplication)
+    stays inside within tolerance.  All k^3 values are formed at once
+    from the Gram of h0 values."""
     Q = W.orthonormal_flat()
-    vecs = W.vectors
-    for i, j, l in product(range(W.count), repeat=3):
-        t = triple_product(vecs[i], vecs[j], vecs[l]).ravel()
-        resid = t - Q @ (Q.T @ t)
-        if np.linalg.norm(resid) > W.tolerance * max(1.0, np.linalg.norm(t)):
+    V = W.vectors
+    k = W.count
+    G = _h0_gram(V)
+    skew = G - np.swapaxes(G, 0, 1)
+    step = max(1, _CLOSURE_CHUNK // (k * k * V[0].size))
+    for lo in range(0, k, step):
+        i = slice(lo, lo + step)
+        T = (
+            quat_mul(V[i, None, None], G[None, :, :, None])
+            - quat_mul(V[None, :, None], G[i, None, :, None])
+            - quat_mul(V[None, None, :], skew[i, :, None, None])
+        ).reshape(-1, Q.shape[0])
+        resid = np.linalg.norm(T - (T @ Q) @ Q.T, axis=1)
+        bound = W.tolerance * np.maximum(1.0, np.linalg.norm(T, axis=1))
+        if np.any(resid > bound):
             return False
     return True
-
-
-def _pairwise_h0(W: SubspaceSpan) -> np.ndarray:
-    vals = [
-        h0(W.vectors[i], W.vectors[j])
-        for i in range(W.count)
-        for j in range(W.count)
-    ]
-    return np.stack(vals)
 
 
 def fit_pure_direction(values: np.ndarray) -> np.ndarray | None:
@@ -576,7 +571,7 @@ def classify_subspace(W: SubspaceSpan) -> str:
     """
     if not lie_triple_closure(W):
         return NOT_LIE_TRIPLE
-    vals = _pairwise_h0(W)
+    vals = _h0_gram(W.vectors).reshape(-1, 4)
     scale = max(1.0, float(np.abs(vals).max()))
     pures = vals[:, 1:]
     if float(np.abs(pures).max()) <= W.tolerance * scale:
@@ -671,8 +666,10 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     kappa(X1(1), X1(1)) against 8(m+2) and kappa/g against 2(m+2) (see
     :func:`killing_corner_value` for the derivation).
     """
-    if m < 2:
-        raise ValueError("the report needs m >= 2")
+    if not 2 <= m <= MAX_REPORT_M:
+        raise ValueError(f"the report needs 2 <= m <= {MAX_REPORT_M}, got m = {m}")
+    if samples < 1:
+        raise ValueError(f"the report needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fields import FieldElement, real_signature
 from .hermitian import HermitianForm, hermitian_isometric
-from .quadratic import QuadraticForm, isotropic_global, signature_at
+from .quadratic import QuadraticForm, isotropic_global
 
 #: largest coefficient multiplier tried by :func:`surface_witness`
 LADDER_BOUND = 100

@@ -5,16 +5,22 @@ and isotropy in p-adic fields are decided by brute-force enumeration of
 residues with explicit lifting-precision bounds, quadratic residue
 characters over F_p^2 are computed by exponentiation in a polynomial
 model of the field, and sympy supplies an unrelated implementation of
-Legendre symbols, modular square roots and factoring.  The oracles are
-slow and simple on purpose.
+Legendre symbols, modular square roots and factoring.  For the numeric
+sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
+coordinates and Lie-triple closure is tested one triple at a time.  The
+oracles are slow and simple on purpose.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import sympy
+
+import quathyp.geometry as geo
 
 # ---------------------------------------------------------------------------
 # p-adic squares over Q by enumeration
@@ -296,3 +302,56 @@ KNOWN_RAMIFICATION = {
     (2, 5): {"2", "5"},
     (3, 5): {"3", "5"},
 }
+
+
+# ---------------------------------------------------------------------------
+# the sp(m,1) model by brute force: ad-trace Killing form, per-triple closure
+
+
+def ad_matrix(A, m: int) -> np.ndarray:
+    """The adjoint action bracket(A, -) as a real matrix in the
+    coordinates of ``geometry.lie_basis(m)``."""
+    cols = [geo.coordinates(geo.bracket(A, E), m) for E in geo.lie_basis(m)]
+    return np.stack(cols, axis=1)
+
+
+@lru_cache(maxsize=None)
+def killing_gram(m: int) -> np.ndarray:
+    """tr(ad(E_i) ad(E_j)) over the ordered basis: O(N^2) traces of
+    N x N products, N = 2m^2 + 5m + 3."""
+    ads = [ad_matrix(E, m) for E in geo.lie_basis(m)]
+    N = len(ads)
+    K = np.empty((N, N))
+    for i in range(N):
+        for j in range(i, N):
+            K[i, j] = K[j, i] = np.trace(ads[i] @ ads[j])
+    K.setflags(write=False)
+    return K
+
+
+def killing_adtrace(A, B, m: int) -> float:
+    """The Killing form as the trace of ad(A) ad(B)."""
+    return float(geo.coordinates(A, m) @ killing_gram(m) @ geo.coordinates(B, m))
+
+
+def triple_product(v, w, u) -> np.ndarray:
+    """v h0(w,u) - w h0(v,u) - u (h0(v,w) - h0(w,v)) for one triple of
+    tangent vectors (entrywise right multiplication)."""
+    return (
+        geo.quat_mul(v, geo.h0(w, u))
+        - geo.quat_mul(w, geo.h0(v, u))
+        - geo.quat_mul(u, geo.h0(v, w) - geo.h0(w, v))
+    )
+
+
+def lie_triple_closure_loop(W) -> bool:
+    """Closure of a ``geometry.SubspaceSpan`` under the triple product,
+    one triple at a time."""
+    Q = W.orthonormal_flat()
+    vecs = W.vectors
+    for i, j, l in product(range(W.count), repeat=3):
+        t = triple_product(vecs[i], vecs[j], vecs[l]).ravel()
+        resid = t - Q @ (Q.T @ t)
+        if np.linalg.norm(resid) > W.tolerance * max(1.0, np.linalg.norm(t)):
+            return False
+    return True

@@ -79,6 +79,26 @@ class TestRamification:
         assert code == 0
         assert "nowhere" in out and "division algebra: no" in out
 
+    def test_factors_once_per_invocation(self, capsys, monkeypatch):
+        import quathyp.algebras
+        import quathyp.cli
+
+        calls = []
+        inner = quathyp.algebras.ramification_set
+
+        def counted(D):
+            calls.append(D)
+            return inner(D)
+
+        # both bindings: the CLI's own and the one is_division would reach
+        monkeypatch.setattr(quathyp.cli, "ramification_set", counted)
+        monkeypatch.setattr(quathyp.algebras, "ramification_set", counted)
+        code, out, _ = run(
+            capsys, "ramification", "--json", f'{{"field": {RATIONAL}, "a": -1, "b": -3}}'
+        )
+        assert code == 0 and json.loads(out)["division"] is True
+        assert len(calls) == 1
+
     def test_listing_is_not_a_decision(self, capsys):
         # --strict only demotes negative yes/no answers, not empty listings
         code, _, _ = run(
@@ -239,6 +259,19 @@ class TestVerifyGeometry:
         )
         assert code == 1
         assert "bad: off ✗" in out and "1/2 checks passed" in out
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--m", "2", "--samples", "0"], "at least one sample, got 0"),
+            (["--m", "2", "--samples", "-1"], "at least one sample, got -1"),
+            (["--m", "17"], "2 <= m <= 16, got m = 17"),
+        ],
+    )
+    def test_bounds_exit_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify-geometry", *flags)
+        assert code == 2 and out == ""
+        assert err == f"error: the report needs {message}\n"
 
     def test_json_payload(self, capsys):
         code, out, _ = run(

@@ -1,8 +1,15 @@
 """Tests for the numeric model of quaternionic hyperbolic space."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 
+import oracles
+import quathyp
 import quathyp.geometry as geo
 
 RNG = np.random.default_rng(90125)
@@ -138,6 +145,26 @@ class TestGroupMembership:
         A = geo.random_sp_element(2, seed=5)
         assert np.allclose(geo.from_complex_matrix(geo.to_complex_matrix(A)), A)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6, 10])
+    @pytest.mark.parametrize("norm", [0.0, 0.1, 0.5, 3.0, 40.0])
+    def test_complex_kernel_matches_scipy(self, n, norm):
+        # 1-norms up to 1/2 are summed directly; larger ones are squared back
+        rng = np.random.default_rng(100 * n + int(10 * norm))
+        M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M *= norm * n / np.abs(M).sum(axis=0).max()
+        expected = scipy.linalg.expm(M)
+        got = geo._expm(M)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_complex_kernel_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            geo._expm(np.array([[np.inf]], dtype=complex))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_sampled_isometries_lie_in_the_group(self, m):
+        for seed in range(5):
+            assert geo.sp_check(geo.random_sp_element(m, seed))
+
 
 class TestLieAlgebraBasis:
     @pytest.mark.parametrize("m,expected", [(2, 21), (3, 36), (4, 55)])
@@ -219,6 +246,21 @@ class TestKillingForm:
         with pytest.raises(ValueError):
             geo.killing_metric_ratios(1, samples=1, seed=0)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_closed_form_matches_ad_trace(self, m):
+        basis = np.stack(geo.lie_basis(m))
+        rng = np.random.default_rng(m)
+        for _ in range(6):
+            A, B = np.tensordot(rng.standard_normal((2, len(basis))), basis, axes=1)
+            expected = oracles.killing_adtrace(A, B, m)
+            got = geo.killing_value(A, B, m)
+            assert got == pytest.approx(expected, rel=1e-10, abs=1e-9)
+
+    def test_shape_must_match_rank(self):
+        X = geo.X_element(2, 1, geo.QUAT_ONE)
+        with pytest.raises(ValueError):
+            geo.killing_value(X, X, 3)
+
 
 class TestSubspaceClassification:
     @pytest.mark.parametrize("m", [2, 3])
@@ -259,6 +301,43 @@ class TestSubspaceClassification:
         with pytest.raises(ValueError):
             geo.SubspaceSpan(np.stack([e1, 2.0 * e1]))
 
+    @staticmethod
+    def _spans(m):
+        """Standard spans and their images under a random Sp(m) rotation,
+        real 2- and 3-planes in a random quaternionic line (all closed),
+        and random spans of every size (not closed).  In a 3-plane
+        u.span(1, i, j) the last term of the triple product leaves the
+        span and only the full sum stays inside."""
+        for kind in (geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC):
+            if kind == geo.TOTALLY_QUATERNIONIC and m < 2:
+                continue
+            W = geo.standard_span(m, kind, dim=min(2, m))
+            yield W
+            B = RNG.standard_normal((m, m, 4))
+            U = geo.matrix_exp(B - geo.mat_conj_transpose(B))
+            yield geo.SubspaceSpan(np.stack([geo.mat_vec(U, v) for v in W.vectors]))
+        u = RNG.standard_normal((m, 4))
+        for k in (2, 3):
+            yield geo.SubspaceSpan(geo.quat_mul(u, RNG.standard_normal((k, 1, 4))))
+        for k in range(1, 4 * m + 1, 3):
+            yield geo.SubspaceSpan(RNG.standard_normal((k, m, 4)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_batched_closure_matches_loop(self, m):
+        verdicts = []
+        for W in self._spans(m):
+            verdicts.append(oracles.lie_triple_closure_loop(W))
+            assert geo.lie_triple_closure(W) == verdicts[-1]
+        assert True in verdicts
+        if m > 1:
+            assert False in verdicts
+
+    def test_sliced_closure_matches_loop(self, monkeypatch):
+        # one slice per first index, as for spans too large for one batch
+        monkeypatch.setattr(geo, "_CLOSURE_CHUNK", 1)
+        for W in self._spans(2):
+            assert geo.lie_triple_closure(W) == oracles.lie_triple_closure_loop(W)
+
     def test_pure_direction_fit(self):
         values = np.array([[0.0, 2.0, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0]])
         direction = geo.fit_pure_direction(values)
@@ -288,3 +367,36 @@ class TestReport:
     def test_rank_below_two_rejected(self):
         with pytest.raises(ValueError):
             geo.geometry_report(1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"m": geo.MAX_REPORT_M + 1}, {"m": 2, "samples": 0}, {"m": 2, "samples": -1}],
+    )
+    def test_bounds_rejected_before_any_work(self, kwargs):
+        with pytest.raises(ValueError, match="the report needs"):
+            geo.geometry_report(**kwargs)
+
+
+def _modules_loaded_by(statement):
+    # the child interpreter imports the same quathyp as this test process
+    root = os.path.dirname(os.path.dirname(quathyp.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}; import sys; print(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return {name.split(".")[0] for name in proc.stdout.split()}
+
+
+def test_cli_imports_geometry_without_scipy():
+    loaded = _modules_loaded_by("import quathyp.cli")
+    assert "scipy" not in loaded
+    assert "numpy" in loaded
+
+
+def test_package_imports_neither_numpy_nor_scipy():
+    loaded = _modules_loaded_by("import quathyp")
+    assert "numpy" not in loaded and "scipy" not in loaded
