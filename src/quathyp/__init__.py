@@ -11,6 +11,7 @@ from .errors import (
     AlgebraMismatchError,
     DescriptorError,
     DimensionMismatchError,
+    FactoringBudgetError,
     FieldMismatchError,
     NotQuaternionicHyperbolicError,
     NotRamifiedAtPlaceError,

@@ -71,8 +71,13 @@ def ramified_real_places(D: QuaternionAlgebra) -> tuple[Place, ...]:
 
 
 def is_division(D: QuaternionAlgebra) -> bool:
-    """Division algebra <=> ramified somewhere (else a 2x2 matrix algebra)."""
-    return bool(ramification_set(D))
+    """Division algebra <=> ramified somewhere (else a 2x2 matrix algebra).
+
+    The real ramified places are part of the ramification set and are
+    read off signs, so an algebra ramified at a real place is decided
+    without factoring its parameters.
+    """
+    return bool(ramified_real_places(D)) or bool(ramification_set(D))
 
 
 def is_split(D: QuaternionAlgebra) -> bool:

@@ -62,6 +62,12 @@ class SearchExhaustedError(QuathypError):
     """A bounded witness search ran out of candidates."""
 
 
+class FactoringBudgetError(QuathypError):
+    """An integer could not be split within the factoring step budget
+    (`numtheory.FACTOR_STEP_BUDGET`): it has two or more large prime
+    factors."""
+
+
 class DescriptorError(QuathypError):
     """A JSON descriptor is malformed.
 

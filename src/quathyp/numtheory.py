@@ -2,8 +2,14 @@
 
 Everything here operates on plain Python integers.  The routines are the
 classical ones: deterministic Miller-Rabin for 64-bit-and-beyond primality,
-Pollard's rho for splitting, Tonelli-Shanks for square roots modulo an odd
-prime, and Hensel lifting for roots modulo prime powers.
+Pollard's rho with Brent's cycle search for splitting, Tonelli-Shanks for
+square roots modulo an odd prime, and Hensel lifting for roots modulo prime
+powers.
+
+Factoring is the one expensive primitive.  Its results are kept in a bounded
+cache, so an integer that several layers ask about is factored once, and
+each split runs under a step budget, so an integer with two large prime
+factors fails with `FactoringBudgetError` instead of running for hours.
 """
 
 from __future__ import annotations
@@ -11,12 +17,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
+
+from .errors import FactoringBudgetError
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24
-# (Sorenson & Webster).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (Sorenson & Webster); without 41, 318665857834031151167461 passes.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+#: Iterations of x -> x^2 + c one Pollard-Brent split may take.  A prime
+#: factor p is found after about sqrt(p) of them, so 2**22 covers factors
+#: up to about 40 bits; two larger prime factors exhaust it in seconds.
+FACTOR_STEP_BUDGET = 1 << 22
+
+#: Iterations per gcd in Brent's search: the differences are multiplied
+#: together modulo n and tested once per block.
+_BRENT_BLOCK = 128
 
 
 def is_prime(n: int) -> bool:
@@ -43,32 +61,64 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed to split {n}")  # pragma: no cover
+def _pollard_brent(n: int) -> int:
+    """A nontrivial factor of an odd composite n that is not a square.
+
+    Pollard's rho with Brent's cycle search (R. P. Brent, "An improved
+    Monte Carlo factorization algorithm", BIT 20, 1980): y runs ahead of
+    a saved x in stretches of doubling length, and the product of the
+    differences x - y is tested by one gcd per block of `_BRENT_BLOCK`
+    steps.  When a block's gcd is n, its steps are retraced one gcd at a
+    time.  Raises `FactoringBudgetError` after `FACTOR_STEP_BUDGET` steps.
+    """
+    budget = FACTOR_STEP_BUDGET
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > budget:
+                raise FactoringBudgetError(
+                    f"could not split a {n.bit_length()}-bit integer within "
+                    f"{budget} Pollard-Brent steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                block = min(_BRENT_BLOCK, r - k)
+                for _ in range(block):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += block
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def factor(n: int) -> dict[int, int]:
     """Prime factorization of |n| as {prime: exponent}; ignores the sign.
 
-    factor(0) and factor(+-1) return {}.
+    factor(0) and factor(+-1) return {}.  Each call returns a fresh dict
+    built from the cached factorization, so callers may mutate it.
     """
-    n = abs(n)
-    out: dict[int, int] = {}
+    return dict(_factor(abs(n)))
+
+
+@lru_cache(maxsize=256)
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
+    """The factorization of n >= 0 as sorted (prime, exponent) pairs."""
     if n <= 1:
-        return out
+        return ()
+    out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
@@ -76,8 +126,6 @@ def factor(n: int) -> dict[int, int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
@@ -85,9 +133,9 @@ def factor(n: int) -> dict[int, int]:
         if root * root == m:
             stack.extend([root, root])
             continue
-        d = _pollard_rho(m)
+        d = _pollard_brent(m)
         stack.extend([d, m // d])
-    return out
+    return tuple(sorted(out.items()))
 
 
 def squarefree_part(n: int) -> int:
@@ -183,7 +231,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return r
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def sqrt_mod_prime_power(a: int, p: int, k: int) -> int:
     """The Hensel lift to mod p**k of the smaller root of x^2 = a mod p.
 

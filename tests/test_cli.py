@@ -302,6 +302,18 @@ class TestErrorHandling:
         )
         assert code == 2 and "11#1" in err
 
+    def test_factoring_budget_exhausted(self, capsys, monkeypatch):
+        import quathyp.numtheory
+
+        # two distinct ~24-bit primes: about 2**12 Pollard-Brent steps to split
+        b = 12582917 * 12583007
+        monkeypatch.setattr(quathyp.numtheory, "FACTOR_STEP_BUDGET", 64)
+        quathyp.numtheory._factor.cache_clear()
+        code, out, err = run(capsys, "ramification", f'{{"field": {RATIONAL}, "a": -1, "b": {b}}}')
+        assert code == 2 and out == ""
+        assert err.startswith("error: could not split a 48-bit integer")
+        assert "Traceback" not in err
+
 
 def test_console_script_is_installed():
     # the child interpreter imports the same quathyp as this test process

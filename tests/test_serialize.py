@@ -6,7 +6,7 @@ import pytest
 
 from quathyp.algebras import quaternion_algebra
 from quathyp.commensurability import AdmissibleTriple, OrbifoldClassDescriptor, canonical_hermitian
-from quathyp.errors import DescriptorError
+from quathyp.errors import DescriptorError, NotQuaternionicHyperbolicError
 from quathyp.fields import QQ, Field, places_above
 from quathyp.hermitian import hermitian_form
 from quathyp.quadratic import diagonal_form
@@ -152,6 +152,41 @@ class TestTriplesAndAmbients:
     def test_split_rank_must_be_positive(self):
         with pytest.raises(DescriptorError):
             parse_ambient({"kind": "split", "field": {"base": "Q"}, "n": 0})
+
+
+class TestParseDoesNotFactor:
+    @pytest.mark.parametrize("field", [QQ, Field(5), Field(3)])
+    def test_admissible_nonsplit_ambient(self, field, monkeypatch):
+        """An algebra ramified at a real place is a division algebra by
+        its signs alone, so parsing an admissible ambient never builds
+        the ramification set, which factors the parameters."""
+        hamilton = quaternion_algebra(field, field.element(-1), field.element(-1))
+        t = AdmissibleTriple(field, field.real_places()[0], hamilton)
+        amb = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2))
+        payload = ambient_to_json(amb)
+
+        def refuse(*args):
+            raise AssertionError("ramification set built while parsing")
+
+        monkeypatch.setattr("quathyp.algebras.symbol_support", refuse)
+        assert parse_ambient(payload) == amb
+
+    def test_division_algebra_unramified_at_infinity_still_parses(self):
+        # (-1, 3) over Q ramifies at {2, 3} only: the finite places decide
+        D = quaternion_algebra(QQ, -1, 3)
+        amb = OrbifoldClassDescriptor.nonsplit(hermitian_form(D, 1, 1, -1))
+        assert parse_ambient(ambient_to_json(amb)) == amb
+
+    def test_split_algebra_still_rejected(self):
+        D = quaternion_algebra(QQ, -1, 2)
+        with pytest.raises(NotQuaternionicHyperbolicError, match="division"):
+            OrbifoldClassDescriptor.nonsplit(hermitian_form(D, 1, 1, -1))
+        payload = {
+            "kind": "nonsplit",
+            "form": {"field": {"base": "Q"}, "algebra": {"a": -1, "b": 2}, "coeffs": [1, 1, -1]},
+        }
+        with pytest.raises(DescriptorError, match="division"):
+            parse_ambient(payload)
 
 
 class TestRestrictionData:
