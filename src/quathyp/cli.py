@@ -22,7 +22,6 @@ from .commensurability import (
     general_cn_commensurable,
     is_admissible,
     is_compact,
-    place_image,
     quaternionic_commensurable,
     triples_equivalent,
 )
@@ -176,26 +175,20 @@ def _cmd_isometric(args):
     return result, lines, not verdict
 
 
-def _triple_reason(t1, t2) -> str:
-    if t1.field != t2.field:
-        return "fields differ"
-    for tau in field_automorphisms(t1.field):
-        if place_image(tau, t2.v0) != t1.v0:
-            continue
-        r1 = ramification_set(t1.algebra)
-        r2 = {place_image(tau, v) for v in ramification_set(t2.algebra)}
-        if r1 == r2:
-            return "equivalent triples"
-    return "ramification sets differ"
-
-
 def _cmd_commensurable(args):
     p1, p2 = load_payload(args.left), load_payload(args.right)
     if isinstance(p1, dict) and "v0" in p1:
         t1 = serialize.parse_triple(p1, "/left")
         t2 = serialize.parse_triple(p2, "/right")
         verdict = triples_equivalent(t1, t2)
-        reason = _triple_reason(t1, t2)
+        # one field automorphism sends t2.v0 to t1.v0, so the verdict and
+        # the fields alone name the reason
+        if verdict:
+            reason = "equivalent triples"
+        elif t1.field != t2.field:
+            reason = "fields differ"
+        else:
+            reason = "ramification sets differ"
     else:
         d1 = serialize.parse_ambient(p1, "/left")
         d2 = serialize.parse_ambient(p2, "/right")

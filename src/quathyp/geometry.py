@@ -9,8 +9,7 @@ Killing values, and the Lie-triple classification of tangent subspaces
 (totally real / complex / quaternionic).
 
 Everything here is numerical; exact arithmetic lives in the other
-modules.  Tolerances are module constants and can be overridden per
-call.
+modules.  Tolerances are module constants.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -61,21 +59,26 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def quat_mul(p, q) -> np.ndarray:
-    """Quaternion product, broadcasting over leading axes."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    w1, x1, y1, z1 = np.moveaxis(p, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(q, -1, 0)
+def _hamilton(p, q, mul) -> np.ndarray:
+    """Hamilton product of quaternion arrays (components on the last
+    axis), with ``mul`` combining components: ``np.multiply`` for
+    entrywise products, ``np.matmul`` for quaternion matrices."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
     return np.stack(
         [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            mul(w1, w2) - mul(x1, x2) - mul(y1, y2) - mul(z1, z2),
+            mul(w1, x2) + mul(x1, w2) + mul(y1, z2) - mul(z1, y2),
+            mul(w1, y2) - mul(x1, z2) + mul(y1, w2) + mul(z1, x2),
+            mul(w1, z2) + mul(x1, y2) - mul(y1, x2) + mul(z1, w2),
         ],
         axis=-1,
     )
+
+
+def quat_mul(p, q) -> np.ndarray:
+    """Quaternion product, broadcasting over leading axes."""
+    return _hamilton(p, q, np.multiply)
 
 
 def quat_norm_sq(q) -> float:
@@ -84,32 +87,9 @@ def quat_norm_sq(q) -> float:
 
 
 def mat_mul(A, B) -> np.ndarray:
-    """Product of quaternion matrices via real component matmuls."""
-    Aw, Ax, Ay, Az = np.moveaxis(np.asarray(A, float), -1, 0)
-    Bw, Bx, By, Bz = np.moveaxis(np.asarray(B, float), -1, 0)
-    return np.stack(
-        [
-            Aw @ Bw - Ax @ Bx - Ay @ By - Az @ Bz,
-            Aw @ Bx + Ax @ Bw + Ay @ Bz - Az @ By,
-            Aw @ By - Ax @ Bz + Ay @ Bw + Az @ Bx,
-            Aw @ Bz + Ax @ By - Ay @ Bx + Az @ Bw,
-        ],
-        axis=-1,
-    )
-
-
-def mat_vec(A, v) -> np.ndarray:
-    Aw, Ax, Ay, Az = np.moveaxis(np.asarray(A, float), -1, 0)
-    vw, vx, vy, vz = np.moveaxis(np.asarray(v, float), -1, 0)
-    return np.stack(
-        [
-            Aw @ vw - Ax @ vx - Ay @ vy - Az @ vz,
-            Aw @ vx + Ax @ vw + Ay @ vz - Az @ vy,
-            Aw @ vy - Ax @ vz + Ay @ vw + Az @ vx,
-            Aw @ vz + Ax @ vy - Ay @ vx + Az @ vw,
-        ],
-        axis=-1,
-    )
+    """Product of quaternion matrices via real component matmuls; an
+    (n, 4) vector B gives the matrix-vector product."""
+    return _hamilton(A, B, np.matmul)
 
 
 def mat_conj_transpose(A) -> np.ndarray:
@@ -144,12 +124,12 @@ def form_h(v, w) -> np.ndarray:
     return terms[:-1].sum(axis=0) - terms[-1]
 
 
-def distance(v1, v2, clamp_tolerance: float = CLAMP_TOLERANCE) -> float:
+def distance(v1, v2) -> float:
     """Hyperbolic distance between the negative lines of v1 and v2:
     2 arccosh sqrt(h(v1,v2) h(v2,v1) / (h(v1,v1) h(v2,v2))).
 
     The argument of the square root is >= 1 in exact arithmetic; round-off
-    within ``clamp_tolerance`` below 1 is clamped, anything farther is an
+    within ``CLAMP_TOLERANCE`` below 1 is clamped, anything farther is an
     error.  The ratio is formed by cancelling two products of nearly equal
     magnitude, so values within a few ulps above 1 are round-off as well and
     collapse to 1: lines closer than roughly 1e-7 read as distance 0 instead
@@ -161,7 +141,7 @@ def distance(v1, v2, clamp_tolerance: float = CLAMP_TOLERANCE) -> float:
         raise ValueError("distance is defined only between negative vectors")
     h12 = form_h(v1, v2)
     arg = float((h12 * h12).sum()) / (h11 * h22)
-    if arg < 1.0 - clamp_tolerance:
+    if arg < 1.0 - CLAMP_TOLERANCE:
         raise ValueError(f"distance argument {arg} below 1 beyond tolerance")
     if arg <= 1.0 + ZERO_BAND:
         return 0.0
@@ -220,12 +200,16 @@ def sp_dev(A) -> float:
     return float(np.abs(lhs - H).max())
 
 
-def sp_check(A, tolerance: float = GROUP_TOLERANCE) -> bool:
-    """Membership of the isometry group of h: conj(A)^T H A = H."""
+def _square_quaternion_matrix(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 3 or A.shape[0] != A.shape[1] or A.shape[2] != 4:
         raise ValueError("expected a square quaternion matrix")
-    return sp_dev(A) <= tolerance
+    return A
+
+
+def sp_check(A) -> bool:
+    """Membership of the isometry group of h: conj(A)^T H A = H."""
+    return sp_dev(_square_quaternion_matrix(A)) <= GROUP_TOLERANCE
 
 
 def lie_algebra_dev(A) -> float:
@@ -235,9 +219,9 @@ def lie_algebra_dev(A) -> float:
     return float(np.abs(lhs).max())
 
 
-def lie_algebra_check(A, tolerance: float = GROUP_TOLERANCE) -> bool:
+def lie_algebra_check(A) -> bool:
     """Membership of the Lie algebra: H conj(A)^T H + A = 0."""
-    return lie_algebra_dev(np.asarray(A, dtype=float)) <= tolerance
+    return lie_algebra_dev(_square_quaternion_matrix(A)) <= GROUP_TOLERANCE
 
 
 def to_complex_matrix(A) -> np.ndarray:
@@ -343,7 +327,7 @@ def H_element(m: int, ell: int, alpha) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _cached_basis(m: int) -> tuple[np.ndarray, ...]:
+def _cached_basis(m: int) -> np.ndarray:
     out: list[np.ndarray] = []
     for ell in range(1, m + 1):
         for unit in QUAT_UNITS:
@@ -355,9 +339,9 @@ def _cached_basis(m: int) -> tuple[np.ndarray, ...]:
     for ell in range(1, m + 2):
         for unit in QUAT_UNITS[1:]:
             out.append(H_element(m, ell, unit))
-    for A in out:
-        A.setflags(write=False)
-    return tuple(out)
+    basis = np.stack(out)
+    basis.setflags(write=False)
+    return basis
 
 
 def lie_basis(m: int) -> list[np.ndarray]:
@@ -427,8 +411,8 @@ def killing_metric_ratios(m: int, samples: int, seed: int) -> np.ndarray:
     for s in range(samples):
         alphas = rng.standard_normal((m, 4))
         X = np.zeros((m + 1, m + 1, 4))
-        for ell in range(1, m + 1):
-            X += X_element(m, ell, alphas[ell - 1])
+        X[:m, m] = alphas
+        X[m, :m] = quat_conj(alphas)
         w = tangent_of_corner(X, m)
         g = float(metric_at(base, w, w)[0])
         out[s] = killing_value(X, X, m) / g
@@ -486,7 +470,6 @@ class SubspaceSpan:
     spanning vectors of shape (k, m, 4), linearly independent over R."""
 
     vectors: np.ndarray
-    tolerance: float = SPAN_TOLERANCE
 
     def __post_init__(self):
         arr = np.asarray(self.vectors, dtype=float)
@@ -495,7 +478,7 @@ class SubspaceSpan:
         object.__setattr__(self, "vectors", arr)
         flat = arr.reshape(arr.shape[0], -1)
         s = np.linalg.svd(flat, compute_uv=False)
-        if s[-1] <= self.tolerance * max(1.0, s[0]):
+        if s[-1] <= SPAN_TOLERANCE * max(1.0, s[0]):
             raise ValueError("spanning vectors are not independent over R")
 
     @property
@@ -538,27 +521,10 @@ def lie_triple_closure(W: SubspaceSpan) -> bool:
             - quat_mul(V[None, None, :], skew[i, :, None, None])
         ).reshape(-1, Q.shape[0])
         resid = np.linalg.norm(T - (T @ Q) @ Q.T, axis=1)
-        bound = W.tolerance * np.maximum(1.0, np.linalg.norm(T, axis=1))
+        bound = SPAN_TOLERANCE * np.maximum(1.0, np.linalg.norm(T, axis=1))
         if np.any(resid > bound):
             return False
     return True
-
-
-def fit_pure_direction(values: np.ndarray) -> np.ndarray | None:
-    """Dominant pure-imaginary direction of a batch of quaternion
-    values, by SVD of their imaginary parts; None when they are all
-    (numerically) real.  Sign fixed by the first nonzero component."""
-    pures = np.asarray(values, dtype=float)[..., 1:].reshape(-1, 3)
-    if np.abs(pures).max(initial=0.0) < 1e-14:
-        return None
-    _, _, vt = np.linalg.svd(pures)
-    direction = vt[0]
-    for comp in direction:
-        if abs(comp) > 1e-14:
-            if comp < 0:
-                direction = -direction
-            break
-    return direction
 
 
 def classify_subspace(W: SubspaceSpan) -> str:
@@ -574,10 +540,10 @@ def classify_subspace(W: SubspaceSpan) -> str:
     vals = _h0_gram(W.vectors).reshape(-1, 4)
     scale = max(1.0, float(np.abs(vals).max()))
     pures = vals[:, 1:]
-    if float(np.abs(pures).max()) <= W.tolerance * scale:
+    if float(np.abs(pures).max()) <= SPAN_TOLERANCE * scale:
         return TOTALLY_REAL
     s = np.linalg.svd(pures, compute_uv=False)
-    if s[1] <= W.tolerance * s[0]:
+    if s[1] <= SPAN_TOLERANCE * s[0]:
         return TOTALLY_COMPLEX
     return TOTALLY_QUATERNIONIC
 
@@ -620,42 +586,45 @@ def bracket_identity_dev(m: int) -> float:
     2. [X_l1(a), Y_l1l2(b)] = X_l2(conj(b) a)        (l1 < l2 <= m)
     3. [X_l1(a), H_l2(b)] = 0                        (l2 <= m, l2 != l1)
     4. [H_l1(a), Y_l2l3(b)] = 0                      (l2 < l3 <= m, l1 not in {l2, l3})
+
+    Per index pair, one broadcast bracket covers all unit pairs; the
+    right-hand sides expand a conj(b) and conj(b) a in the units through
+    their product table, whose 0 and +-1 entries keep the sums exact.
     """
-    dev = 0.0
-    units = QUAT_UNITS
-    pure_units = QUAT_UNITS[1:]
-    for l1, l2 in product(range(1, m + 1), repeat=2):
-        if l1 < l2:
-            for a, b in product(units, repeat=2):
-                lhs = bracket(X_element(m, l1, a), X_element(m, l2, b))
-                rhs = Y_element(m, l1, l2, quat_mul(a, quat_conj(b)))
-                dev = max(dev, float(np.abs(lhs - rhs).max()))
-                lhs = bracket(X_element(m, l1, a), Y_element(m, l1, l2, b))
-                rhs = X_element(m, l2, quat_mul(quat_conj(b), a))
-                dev = max(dev, float(np.abs(lhs - rhs).max()))
-        if l1 != l2:
-            for a, b in product(units, pure_units):
-                lhs = bracket(X_element(m, l1, a), H_element(m, l2, b))
-                dev = max(dev, float(np.abs(lhs).max()))
-    for l2 in range(1, m + 1):
-        for l3 in range(l2 + 1, m + 1):
-            for l1 in range(1, m + 2):
-                if l1 in (l2, l3):
-                    continue
-                for a, b in product(pure_units, units):
-                    lhs = bracket(H_element(m, l1, a), Y_element(m, l2, l3, b))
-                    dev = max(dev, float(np.abs(lhs).max()))
-    return dev
+    n = m + 1
+    basis = _cached_basis(m)
+    X = basis[: 4 * m].reshape(m, 4, n, n, 4)
+    Y = basis[4 * m : len(basis) - 3 * n].reshape(-1, 4, n, n, 4)
+    H = basis[len(basis) - 3 * n :].reshape(n, 3, n, n, 4)
+    index_pairs = [(l1, l2) for l1 in range(m) for l2 in range(l1 + 1, m)]
+    units = np.stack(QUAT_UNITS)
+    # [a, b, c]: the coefficient of unit c in a conj(b), resp. conj(b) a
+    a_conj_b = quat_mul(units[:, None], quat_conj(units)[None, :])
+    conj_b_a = quat_mul(quat_conj(units)[None, :], units[:, None])
+    devs = []
+    for (l1, l2), Y12 in zip(index_pairs, Y):
+        rhs = np.einsum("abc,c...->ab...", a_conj_b, Y12)
+        devs.append(_max_abs(bracket(*_all_pairs(X[l1], X[l2])) - rhs))
+        rhs = np.einsum("abc,c...->ab...", conj_b_a, X[l2])
+        devs.append(_max_abs(bracket(*_all_pairs(X[l1], Y12)) - rhs))
+    for l1 in range(m):
+        H_other = np.delete(H[:m], l1, axis=0).reshape(-1, n, n, 4)
+        devs.append(_max_abs(bracket(*_all_pairs(X[l1], H_other))))
+    for (l2, l3), Y23 in zip(index_pairs, Y):
+        H_other = np.delete(H, [l2, l3], axis=0).reshape(-1, n, n, 4)
+        devs.append(_max_abs(bracket(*_all_pairs(H_other, Y23))))
+    return max(devs, default=0.0)
 
 
-def _report_check(name, value, reference, passed, detail):
-    return {
-        "name": name,
-        "value": value,
-        "reference": reference,
-        "passed": bool(passed),
-        "detail": detail,
-    }
+def _all_pairs(P: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (p, q) with p in the stack P and q in Q, as two stacks of
+    shape (len(P), len(Q), ...)."""
+    shape = (len(P), len(Q)) + P.shape[1:]
+    return np.broadcast_to(P[:, None], shape), np.broadcast_to(Q[None, :], shape)
+
+
+def _max_abs(D: np.ndarray) -> float:
+    return float(np.abs(D).max(initial=0.0))
 
 
 def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
@@ -673,57 +642,51 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
 
-    basis = lie_basis(m)
-    checks.append(
-        _report_check(
-            "basis-count", len(basis), lie_dim(m), len(basis) == lie_dim(m),
-            f"{len(basis)} basis elements, expected 2m^2+5m+3 = {lie_dim(m)}",
+    def check(name, value, reference, passed, detail):
+        checks.append(
+            {"name": name, "value": value, "reference": reference,
+             "passed": bool(passed), "detail": detail}
         )
+
+    basis = lie_basis(m)
+    check(
+        "basis-count", len(basis), lie_dim(m), len(basis) == lie_dim(m),
+        f"{len(basis)} basis elements, expected 2m^2+5m+3 = {lie_dim(m)}",
     )
 
     member_dev = max(lie_algebra_dev(A) for A in basis)
-    checks.append(
-        _report_check(
-            "basis-membership", member_dev, 0.0, member_dev <= GROUP_TOLERANCE,
-            f"max defining-identity deviation {member_dev:.2e}",
-        )
+    check(
+        "basis-membership", member_dev, 0.0, member_dev <= GROUP_TOLERANCE,
+        f"max defining-identity deviation {member_dev:.2e}",
     )
 
     br_dev = bracket_identity_dev(m)
-    checks.append(
-        _report_check(
-            "bracket-identities", br_dev, 0.0, br_dev == 0.0,
-            f"four structural families, max deviation {br_dev:.2e}",
-        )
+    check(
+        "bracket-identities", br_dev, 0.0, br_dev == 0.0,
+        f"four structural families, max deviation {br_dev:.2e}",
     )
 
     w = tangent_of_corner(X_element(m, 1, QUAT_ONE), m)
     g_base = float(metric_at(base_point(m), w, w)[0])
-    checks.append(
-        _report_check(
-            "base-metric", g_base, CORNER_METRIC, abs(g_base - CORNER_METRIC) <= 1e-12,
-            f"g(w,w) = {g_base:.12g} for the unit corner direction",
-        )
+    check(
+        "base-metric", g_base, CORNER_METRIC, abs(g_base - CORNER_METRIC) <= 1e-12,
+        f"g(w,w) = {g_base:.12g} for the unit corner direction",
     )
 
     kappa = killing_value(X_element(m, 1, QUAT_ONE), X_element(m, 1, QUAT_ONE), m)
     ref_kappa = killing_corner_value(m)
-    checks.append(
-        _report_check(
-            "killing-x1", kappa, ref_kappa, abs(kappa - ref_kappa) <= 1e-9,
-            f"kappa(X1(1), X1(1)) = {kappa:.12g}, reference 8(m+2) = {ref_kappa:g}",
-        )
+    check(
+        "killing-x1", kappa, ref_kappa, abs(kappa - ref_kappa) <= 1e-9,
+        f"kappa(X1(1), X1(1)) = {kappa:.12g}, reference 8(m+2) = {ref_kappa:g}",
     )
 
     ratios = killing_metric_ratios(m, samples, seed)
     ref_ratio = killing_metric_ratio(m)
     ratio_dev = float(np.abs(ratios - ref_ratio).max())
-    checks.append(
-        _report_check(
-            "killing-metric-ratio", ratio_dev, 0.0, ratio_dev <= 1e-9,
-            f"kappa/g in [{ratios.min():.12g}, {ratios.max():.12g}], "
-            f"reference 2(m+2) = {ref_ratio:g}",
-        )
+    check(
+        "killing-metric-ratio", ratio_dev, 0.0, ratio_dev <= 1e-9,
+        f"kappa/g in [{ratios.min():.12g}, {ratios.max():.12g}], "
+        f"reference 2(m+2) = {ref_ratio:g}",
     )
 
     inv_dev = 0.0
@@ -737,31 +700,25 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         A = random_sp_element(m, seed + 1000 + trial)
         inv_dev = max(
             inv_dev,
-            abs(distance(mat_vec(A, pts[0]), mat_vec(A, pts[1])) - distance(*pts)),
+            abs(distance(mat_mul(A, pts[0]), mat_mul(A, pts[1])) - distance(*pts)),
         )
         alpha = rng.standard_normal(4)
         proj_dev = max(proj_dev, distance(pts[0], quat_mul(pts[0], alpha)))
-    checks.append(
-        _report_check(
-            "distance-invariance", inv_dev, 0.0, inv_dev <= INVARIANCE_TOLERANCE,
-            f"max change under random isometries {inv_dev:.2e}",
-        )
+    check(
+        "distance-invariance", inv_dev, 0.0, inv_dev <= INVARIANCE_TOLERANCE,
+        f"max change under random isometries {inv_dev:.2e}",
     )
-    checks.append(
-        _report_check(
-            "distance-projective", proj_dev, 0.0, proj_dev <= 1e-10,
-            f"max distance between a line and its rescaling {proj_dev:.2e}",
-        )
+    check(
+        "distance-projective", proj_dev, 0.0, proj_dev <= 1e-10,
+        f"max distance between a line and its rescaling {proj_dev:.2e}",
     )
 
     group_dev = max(
         sp_dev(random_sp_element(m, seed + 2000 + t)) for t in range(10)
     )
-    checks.append(
-        _report_check(
-            "group-membership", group_dev, 0.0, group_dev <= GROUP_TOLERANCE,
-            f"max form deviation of sampled isometries {group_dev:.2e}",
-        )
+    check(
+        "group-membership", group_dev, 0.0, group_dev <= GROUP_TOLERANCE,
+        f"max form deviation of sampled isometries {group_dev:.2e}",
     )
 
     expected = {
@@ -778,11 +735,9 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     classify_ok = all(k == v for k, v in expected.items()) and (
         classify_subspace(SubspaceSpan(perturbed)) == NOT_LIE_TRIPLE
     )
-    checks.append(
-        _report_check(
-            "triple-classification", classify_ok, True, classify_ok,
-            "canonical spans of each class and a perturbed non-example",
-        )
+    check(
+        "triple-classification", classify_ok, True, classify_ok,
+        "canonical spans of each class and a perturbed non-example",
     )
 
     return {

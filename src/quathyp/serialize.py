@@ -25,7 +25,12 @@ from fractions import Fraction
 
 from .algebras import QuaternionAlgebra
 from .commensurability import AdmissibleTriple, OrbifoldClassDescriptor
-from .errors import DescriptorError
+from .errors import (
+    DescriptorError,
+    FieldMismatchError,
+    NotQuaternionicHyperbolicError,
+    SquareArgumentError,
+)
 from .fields import (
     Field,
     FieldElement,
@@ -218,7 +223,7 @@ def parse_ambient(obj, ptr: str = "") -> OrbifoldClassDescriptor:
         )
     try:
         return OrbifoldClassDescriptor.nonsplit(form)
-    except Exception as exc:
+    except NotQuaternionicHyperbolicError as exc:
         raise DescriptorError(str(exc), f"{ptr}/form") from None
 
 
@@ -239,7 +244,7 @@ def parse_restriction_data(obj, ptr: str = "") -> ComplexRestrictionData:
     coeffs = _parse_coeffs(obj, field, ptr)
     try:
         return ComplexRestrictionData(c, coeffs)
-    except Exception as exc:
+    except (ValueError, SquareArgumentError, FieldMismatchError) as exc:
         raise DescriptorError(str(exc), ptr) from None
 
 

@@ -7,8 +7,9 @@ characters over F_p^2 are computed by exponentiation in a polynomial
 model of the field, and sympy supplies an unrelated implementation of
 Legendre symbols, modular square roots and factoring.  For the numeric
 sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
-coordinates and Lie-triple closure is tested one triple at a time.  The
-oracles are slow and simple on purpose.
+coordinates, Lie-triple closure is tested one triple at a time and the
+structural bracket identities one bracket at a time.  The oracles are
+slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -352,6 +353,38 @@ def lie_triple_closure_loop(W) -> bool:
     for i, j, l in product(range(W.count), repeat=3):
         t = triple_product(vecs[i], vecs[j], vecs[l]).ravel()
         resid = t - Q @ (Q.T @ t)
-        if np.linalg.norm(resid) > W.tolerance * max(1.0, np.linalg.norm(t)):
+        if np.linalg.norm(resid) > geo.SPAN_TOLERANCE * max(1.0, np.linalg.norm(t)):
             return False
     return True
+
+
+def bracket_identity_dev_loop(m: int) -> float:
+    """``geometry.bracket_identity_dev`` one bracket at a time: every
+    index pattern of the four families and every unit pair, with each
+    right-hand side built from its quaternion product."""
+    X, Y, H = geo.X_element, geo.Y_element, geo.H_element
+    units = geo.QUAT_UNITS
+    pure_units = geo.QUAT_UNITS[1:]
+    dev = 0.0
+    for l1, l2 in product(range(1, m + 1), repeat=2):
+        if l1 < l2:
+            for a, b in product(units, repeat=2):
+                lhs = geo.bracket(X(m, l1, a), X(m, l2, b))
+                rhs = Y(m, l1, l2, geo.quat_mul(a, geo.quat_conj(b)))
+                dev = max(dev, float(np.abs(lhs - rhs).max()))
+                lhs = geo.bracket(X(m, l1, a), Y(m, l1, l2, b))
+                rhs = X(m, l2, geo.quat_mul(geo.quat_conj(b), a))
+                dev = max(dev, float(np.abs(lhs - rhs).max()))
+        if l1 != l2:
+            for a, b in product(units, pure_units):
+                lhs = geo.bracket(X(m, l1, a), H(m, l2, b))
+                dev = max(dev, float(np.abs(lhs).max()))
+    for l2 in range(1, m + 1):
+        for l3 in range(l2 + 1, m + 1):
+            for l1 in range(1, m + 2):
+                if l1 in (l2, l3):
+                    continue
+                for a, b in product(pure_units, units):
+                    lhs = geo.bracket(H(m, l1, a), Y(m, l2, l3, b))
+                    dev = max(dev, float(np.abs(lhs).max()))
+    return dev

@@ -162,7 +162,7 @@ def test_distance_invariance_under_group_and_scaling():
         v = geo.ball_point_to_line(rng.uniform(-0.45, 0.45, size=(2, 4)))
         w = geo.ball_point_to_line(rng.uniform(-0.45, 0.45, size=(2, 4)))
         d0 = geo.distance(v, w)
-        d1 = geo.distance(geo.mat_vec(A, v), geo.mat_vec(A, w))
+        d1 = geo.distance(geo.mat_mul(A, v), geo.mat_mul(A, w))
         assert abs(d0 - d1) <= INVARIANCE_TOLERANCE
     for _ in range(20):
         v = geo.ball_point_to_line(rng.uniform(-0.45, 0.45, size=(2, 4)))

@@ -171,6 +171,29 @@ class TestCommensurable:
         code, out, _ = run(capsys, "commensurable", t1, t2)
         assert code == 0 and "yes" in out
 
+    def test_fields_differ(self, capsys):
+        code, out, _ = run(capsys, "commensurable", triple(-1, -1), triple(-1, -1, d=5))
+        assert code == 0 and out == "commensurable: no (fields differ)\n"
+
+    def test_triple_reason_reads_the_verdict(self, capsys, monkeypatch):
+        import quathyp.algebras
+        import quathyp.cli
+
+        calls = []
+        inner = quathyp.algebras.ramification_set
+
+        def counted(D):
+            calls.append(D)
+            return inner(D)
+
+        # one ramification set per triple, both built by triples_equivalent;
+        # the reason follows from the verdict and builds none
+        monkeypatch.setattr(quathyp.cli, "ramification_set", counted)
+        monkeypatch.setattr(quathyp.algebras, "ramification_set", counted)
+        code, out, _ = run(capsys, "commensurable", triple(-1, -1), triple(-1, -3))
+        assert code == 0 and out == "commensurable: no (ramification sets differ)\n"
+        assert len(calls) == 2
+
 
 class TestAdmissible:
     def test_positive_reports_compactness(self, capsys):
@@ -313,6 +336,17 @@ class TestErrorHandling:
         assert code == 2 and out == ""
         assert err.startswith("error: could not split a 48-bit integer")
         assert "Traceback" not in err
+
+    def test_factoring_budget_while_parsing_is_not_an_input_error(self, capsys, monkeypatch):
+        import quathyp.numtheory
+
+        # (-1, b) with b > 0 is unramified at infinity, so parsing factors b
+        b = 16777259 * 16777289
+        monkeypatch.setattr(quathyp.numtheory, "FACTOR_STEP_BUDGET", 64)
+        quathyp.numtheory._factor.cache_clear()
+        code, out, err = run(capsys, "commensurable", ambient(-1, b), ambient(-1, -1))
+        assert code == 2 and out == ""
+        assert err.startswith("error: could not split a 49-bit integer")
 
 
 def test_console_script_is_installed():

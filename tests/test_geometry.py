@@ -95,7 +95,7 @@ class TestFormAndDistance:
             A = geo.random_sp_element(2, seed=seed)
             v, w = random_negative_vector(2), random_negative_vector(2)
             d0 = geo.distance(v, w)
-            d1 = geo.distance(geo.mat_vec(A, v), geo.mat_vec(A, w))
+            d1 = geo.distance(geo.mat_mul(A, v), geo.mat_mul(A, w))
             assert abs(d0 - d1) < 1e-8
 
 
@@ -165,6 +165,13 @@ class TestGroupMembership:
         for seed in range(5):
             assert geo.sp_check(geo.random_sp_element(m, seed))
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+    @pytest.mark.parametrize("check", [geo.sp_check, geo.lie_algebra_check])
+    def test_membership_checks_reject_non_quaternion_matrices(self, check, shape):
+        # a real 4x4 array would otherwise be read as a 4-vector of quaternions
+        with pytest.raises(ValueError, match="square quaternion matrix"):
+            check(np.zeros(shape))
+
 
 class TestLieAlgebraBasis:
     @pytest.mark.parametrize("m,expected", [(2, 21), (3, 36), (4, 55)])
@@ -204,6 +211,20 @@ class TestLieAlgebraBasis:
     @pytest.mark.parametrize("m", [2, 3])
     def test_structural_bracket_identities_are_exact(self, m):
         assert geo.bracket_identity_dev(m) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_batched_identities_match_loop(self, m):
+        # at m = 1 every family is empty
+        assert geo.bracket_identity_dev(m) == oracles.bracket_identity_dev_loop(m) == 0.0
+
+    def test_identity_check_sees_a_wrong_bracket(self, monkeypatch):
+        def anticommutator(A, B):
+            return geo.mat_mul(A, B) + geo.mat_mul(B, A)
+
+        monkeypatch.setattr(geo, "bracket", anticommutator)
+        batched = geo.bracket_identity_dev(3)
+        assert batched > 0.0
+        assert batched == oracles.bracket_identity_dev_loop(3)
 
 
 class TestKillingForm:
@@ -315,7 +336,7 @@ class TestSubspaceClassification:
             yield W
             B = RNG.standard_normal((m, m, 4))
             U = geo.matrix_exp(B - geo.mat_conj_transpose(B))
-            yield geo.SubspaceSpan(np.stack([geo.mat_vec(U, v) for v in W.vectors]))
+            yield geo.SubspaceSpan(np.stack([geo.mat_mul(U, v) for v in W.vectors]))
         u = RNG.standard_normal((m, 4))
         for k in (2, 3):
             yield geo.SubspaceSpan(geo.quat_mul(u, RNG.standard_normal((k, 1, 4))))
@@ -337,12 +358,6 @@ class TestSubspaceClassification:
         monkeypatch.setattr(geo, "_CLOSURE_CHUNK", 1)
         for W in self._spans(2):
             assert geo.lie_triple_closure(W) == oracles.lie_triple_closure_loop(W)
-
-    def test_pure_direction_fit(self):
-        values = np.array([[0.0, 2.0, 0.0, 0.0], [0.0, -3.0, 0.0, 0.0]])
-        direction = geo.fit_pure_direction(values)
-        assert np.allclose(np.abs(direction), [1.0, 0.0, 0.0])
-        assert geo.fit_pure_direction(np.zeros((3, 4))) is None
 
 
 class TestReport:

@@ -188,6 +188,20 @@ class TestParseDoesNotFactor:
         with pytest.raises(DescriptorError, match="division"):
             parse_ambient(payload)
 
+    def test_internal_errors_are_not_input_errors(self, monkeypatch):
+        # (-1, 3) is unramified at infinity: only its finite places decide
+        payload = {
+            "kind": "nonsplit",
+            "form": {"field": {"base": "Q"}, "algebra": {"a": -1, "b": 3}, "coeffs": [1, 1, -1]},
+        }
+
+        def broken(*args):
+            raise AssertionError("internal failure")
+
+        monkeypatch.setattr("quathyp.algebras.symbol_support", broken)
+        with pytest.raises(AssertionError, match="internal failure"):
+            parse_ambient(payload)
+
 
 class TestRestrictionData:
     def test_round_trip(self):
@@ -196,6 +210,15 @@ class TestRestrictionData:
         )
         parsed = parse_restriction_data(restriction_data_to_json(data))
         assert parsed.c == data.c and parsed.coeffs == data.coeffs
+
+    @pytest.mark.parametrize(
+        "c, coeffs, match",
+        [(0, [1], "nonzero"), (4, [1], "square"), (-7, [], "empty"), (-7, [1, 0], "nonzero")],
+    )
+    def test_bad_data_is_an_input_error(self, c, coeffs, match):
+        payload = {"field": {"base": "Q"}, "c": c, "coeffs": coeffs}
+        with pytest.raises(DescriptorError, match=match):
+            parse_restriction_data(payload)
 
 
 class TestPlaces:
