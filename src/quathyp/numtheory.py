@@ -1,10 +1,11 @@
 """Elementary integer number theory used by the exact arithmetic layer.
 
 Everything here operates on plain Python integers.  The routines are the
-classical ones: deterministic Miller-Rabin for 64-bit-and-beyond primality,
+classical ones: deterministic Miller-Rabin below 3.3 * 10**24 and the
+Baillie-PSW test (Miller-Rabin plus a strong Lucas test) above it,
 Pollard's rho with Brent's cycle search for splitting, Tonelli-Shanks for
-square roots modulo an odd prime, and Hensel lifting for roots modulo prime
-powers.
+square roots modulo an odd prime, and Hensel lifting for roots modulo
+prime powers.
 
 Factoring is the one expensive primitive.  Its results are kept in a bounded
 cache, so an integer that several layers ask about is factored once, and
@@ -21,9 +22,13 @@ from itertools import count
 
 from .errors import FactoringBudgetError
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24
+# Deterministic Miller-Rabin witnesses, valid for all n < _MR_BOUND
 # (Sorenson & Webster); without 41, 318665857834031151167461 passes.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The least strong pseudoprime to all of _MR_WITNESSES; from here on a
+# strong Lucas test follows Miller-Rabin (Baillie-PSW).
+_MR_BOUND = 3317044064679887385961981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -38,7 +43,11 @@ _BRENT_BLOCK = 128
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the integer sizes we meet."""
+    """Primality: deterministic below `_MR_BOUND`, Baillie-PSW above it.
+
+    No composite is known to pass Baillie-PSW, and none exists below
+    2**64 (the bound here is above 2**81).
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -58,7 +67,58 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas_probable_prime(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
+        a %= n
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 47 with Selfridge's
+    parameters: D is the first of 5, -7, 9, -11, ... with (D|n) = -1,
+    P = 1 and Q = (1 - D)/4.  Writing n + 1 = d * 2**s, n passes when
+    U_d = 0 or V_(d 2**r) = 0 (mod n) for some 0 <= r < s (Baillie and
+    Wagstaff, "Lucas pseudoprimes", Math. Comp. 35, 1980).
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D|n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 0, 2, 1  # U_k, V_k and Q^k mod n, from k = 0
+    for bit in bin(d)[2:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # k -> 2k
+        if bit == "1":  # k -> k + 1
+            U, V = (P * U + V) * half % n, (D * U + P * V) * half % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _pollard_brent(n: int) -> int:

@@ -4,6 +4,14 @@ Forms are ordered tuples of nonzero field coefficients.  The module
 computes the classifying local data (dimension, determinant square
 class, Hasse invariant, real signatures), decides isometry by
 local-global comparison, and decides isotropy locally and globally.
+
+A Hilbert symbol depends only on the local square classes of its
+arguments, so the Hasse invariant groups the coefficients by square
+class (sign; valuation parity and residue character at odd places;
+valuation parity and unit mod 8 at the dyadic place of Q) and evaluates
+one symbol per pair of classes: at most 36 per place.  At the single
+dyadic place of Q(sqrt(d)) it follows from the other places by Hilbert
+reciprocity (Serre, *A Course in Arithmetic*, Ch. III-IV).
 """
 
 from __future__ import annotations
@@ -12,16 +20,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatchError, PlaceKindError
+from .errors import FieldMismatchError, PlaceKindError, UnsupportedDyadicPlaceError
 from .fields import (
     Field,
     FieldElement,
     Place,
     is_global_square,
     is_local_square,
+    local_valuation,
     real_signature,
+    residue_character,
+    sign_at_real_place,
 )
-from .numtheory import squarefree_part
+from .numtheory import squarefree_part, unit_mod, val_fraction
 from .symbols import hilbert_symbol, symbol_support
 
 
@@ -115,12 +126,56 @@ def signature_at(q: QuadraticForm, v: Place) -> tuple[int, int]:
     return real_signature(q.coeffs, v)
 
 
-def hasse_invariant(q: QuadraticForm, v: Place) -> int:
-    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j."""
+def _local_square_class(x: FieldElement, v: Place):
+    """A key two elements share exactly when their ratio is a square at
+    v: a real place, an odd place or the dyadic place of Q."""
+    if v.is_real:
+        return sign_at_real_place(x, v)
+    if v.p != 2:
+        return local_valuation(x, v) % 2, residue_character(x, v)
+    return val_fraction(x.a0, 2) % 2, unit_mod(x.a0, 2, 8)
+
+
+def _hasse_by_classes(q: QuadraticForm, v: Place) -> int:
+    """The pairwise product at v, one symbol per pair of square classes:
+    class c (n_c members, any one r_c) gives (r_c, r_c)^(n_c(n_c-1)/2),
+    and two classes give (r_c, r_c')^(n_c n_c')."""
+    classes: dict[object, list] = {}
+    for c in q.coeffs:
+        classes.setdefault(_local_square_class(c, v), [c, 0])[1] += 1
+    reps = list(classes.values())
     out = 1
-    for i in range(q.dim):
-        for j in range(i + 1, q.dim):
-            out *= hilbert_symbol(q.coeffs[i], q.coeffs[j], v)
+    for i, (a, na) in enumerate(reps):
+        if na * (na - 1) // 2 % 2:
+            out *= hilbert_symbol(a, a, v)
+        for b, nb in reps[i + 1:]:
+            if na * nb % 2:
+                out *= hilbert_symbol(a, b, v)
+    return out
+
+
+def hasse_invariant(q: QuadraticForm, v: Place) -> int:
+    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j.
+
+    At the single dyadic place of Q(sqrt(d)) it is the product of the
+    invariants at the other places of `form_support(q)`, by reciprocity.
+    A unary form gives +1 everywhere; otherwise a dyadic place of a field
+    in which 2 splits raises UnsupportedDyadicPlaceError.
+    """
+    if q.field != v.field:
+        raise FieldMismatchError("form and place belong to different fields")
+    if q.dim == 1:
+        return 1
+    if not v.is_dyadic or v.field.is_rational:
+        return _hasse_by_classes(q, v)
+    others = [w for w in form_support(q) if w != v]
+    if any(w.is_dyadic for w in others):
+        raise UnsupportedDyadicPlaceError(
+            f"2 splits in {v.field}; dyadic symbols are unsupported"
+        )
+    out = 1
+    for w in others:
+        out *= _hasse_by_classes(q, w)
     return out
 
 
@@ -146,7 +201,11 @@ def forms_isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     Equal dimension, determinants in one square class, equal signatures
     at the real places, and equal Hasse invariants everywhere; outside
     the joint support both Hasse invariants are +1, so only the support
-    places are compared.
+    places are compared.  When the support has a single dyadic place,
+    that place is skipped: equal signatures give equal invariants at the
+    real places, and the invariants of each form multiply to +1 over all
+    places, so agreement everywhere else forces agreement there.  When 2
+    splits both dyadic places are compared (and raise).
     """
     if q1.field != q2.field:
         raise FieldMismatchError("cannot compare forms over different fields")
@@ -154,8 +213,11 @@ def forms_isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
         return False
     if not same_square_class(q1.det(), q2.det()):
         return False
-    places = set(form_support(q1)) | set(form_support(q2))
-    for v in sorted(places, key=Place.sort_key):
+    places = sorted(set(form_support(q1)) | set(form_support(q2)), key=Place.sort_key)
+    dyadic = [v for v in places if v.is_dyadic]
+    if len(dyadic) == 1:
+        places.remove(dyadic[0])
+    for v in places:
         if v.is_real:
             if signature_at(q1, v) != signature_at(q2, v):
                 return False

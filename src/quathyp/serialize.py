@@ -14,9 +14,10 @@ The wire schema:
   ``{"kind": "split", "field": ..., "n": 3}``
 
 Parse errors raise :class:`~quathyp.errors.DescriptorError` carrying the
-JSON pointer of the offending field.  Finite places are written in a
-compact text syntax: ``inf_0``, ``7``, ``11#1`` (first place over a
-split prime).
+JSON pointer of the offending field; so does a numerator or denominator
+longer than `MAX_BITS` bits, which keeps factoring within reach.  Finite
+places are written in a compact text syntax: ``inf_0``, ``7``, ``11#1``
+(first place over a split prime).
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from .fields import (
 from .hermitian import HermitianForm
 from .quadratic import QuadraticForm
 from .subspaces import ComplexRestrictionData
+
+#: longest numerator or denominator a descriptor may hold, in bits
+MAX_BITS = 256
 
 
 def _require_dict(obj, ptr: str) -> dict:
@@ -84,9 +88,15 @@ def _parse_fraction(value, ptr: str) -> Fraction:
         raise DescriptorError("expected a rational number", ptr)
     if isinstance(value, (int, str)):
         try:
-            return Fraction(value)
+            x = Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DescriptorError(f"cannot read {value!r} as p/q", ptr) from None
+        bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+        if bits > MAX_BITS:
+            raise DescriptorError(
+                f"a {bits}-bit numerator or denominator exceeds {MAX_BITS} bits", ptr
+            )
+        return x
     raise DescriptorError(
         f"expected an integer or 'p/q' string, got {type(value).__name__}", ptr
     )

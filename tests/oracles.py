@@ -5,7 +5,9 @@ and isotropy in p-adic fields are decided by brute-force enumeration of
 residues with explicit lifting-precision bounds, quadratic residue
 characters over F_p^2 are computed by exponentiation in a polynomial
 model of the field, and sympy supplies an unrelated implementation of
-Legendre symbols, modular square roots and factoring.  For the numeric
+Legendre symbols, modular square roots and factoring.  Hasse invariants
+are products of one Hilbert symbol per coefficient pair, and isometry
+compares them at every place, the dyadic ones included.  For the numeric
 sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
 coordinates, Lie-triple closure is tested one triple at a time and the
 structural bracket identities one bracket at a time.  The oracles are
@@ -22,6 +24,9 @@ import numpy as np
 import sympy
 
 import quathyp.geometry as geo
+from quathyp.fields import Place
+from quathyp.quadratic import form_support, same_square_class, signature_at
+from quathyp.symbols import hilbert_symbol
 
 # ---------------------------------------------------------------------------
 # p-adic squares over Q by enumeration
@@ -282,6 +287,35 @@ def quadratic_local_is_square(
     return _bfs_square(
         x0, x1, lambda y0, y1: (y0 * y0 + d * y1 * y1, 2 * y0 * y1), p, digits
     )
+
+
+# ---------------------------------------------------------------------------
+# Hasse invariants one symbol per pair, isometry at every place
+
+
+def hasse_invariant_pairwise(q, v) -> int:
+    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j."""
+    out = 1
+    for i in range(q.dim):
+        for j in range(i + 1, q.dim):
+            out *= hilbert_symbol(q.coeffs[i], q.coeffs[j], v)
+    return out
+
+
+def forms_isometric_every_place(q1, q2) -> bool:
+    """Isometry by dimension, determinant class, real signatures and the
+    pairwise Hasse invariants at every finite place of the joint
+    support, the dyadic place included."""
+    if q1.dim != q2.dim or not same_square_class(q1.det(), q2.det()):
+        return False
+    places = set(form_support(q1)) | set(form_support(q2))
+    for v in sorted(places, key=Place.sort_key):
+        if v.is_real:
+            if signature_at(q1, v) != signature_at(q2, v):
+                return False
+        elif hasse_invariant_pairwise(q1, v) != hasse_invariant_pairwise(q2, v):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

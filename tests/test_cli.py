@@ -50,6 +50,13 @@ class TestSymbol:
         payload = json.loads(out)
         assert payload["symbols"] == {"2": -1}
 
+    def test_oversized_argument_is_an_input_error(self, capsys):
+        code, out, _ = run(capsys, "symbol", "--place", "2", str(2**256 - 1), "-1")
+        assert code == 0 and "= " in out
+        code, _, err = run(capsys, "symbol", str(2**256), "-1")
+        assert code == 2
+        assert err.startswith("input error: ") and err.rstrip().endswith("(at /a)")
+
     def test_fraction_shorthand(self, capsys):
         code, out, _ = run(capsys, "symbol", "--place", "2", "2/9", "5")
         assert code == 0

@@ -3,15 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quathyp.algebras import quaternion_algebra, ramification_set
+from quathyp.algebras import quaternion_algebra, ramification_set, ramified_real_places
 from quathyp.errors import (
     AlgebraMismatchError,
     DimensionMismatchError,
     NotRamifiedAtPlaceError,
     PlaceKindError,
 )
-from quathyp.fields import QQ, Field, places_above
+from quathyp.fields import QQ, Field, places_above, real_signature
 from quathyp.hermitian import (
     HermitianForm,
     hermitian_form,
@@ -39,6 +41,27 @@ def random_hermitian(max_dim=4):
     D = quaternion_algebra(QQ, *RNG.choice(ALGEBRA_POOL))
     dim = RNG.randint(1, max_dim)
     return hermitian_form(D, *(RNG.choice(COEFF_POOL) for _ in range(dim)))
+
+
+LANDHERR_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(13), Field(7)]
+
+
+@st.composite
+def hermitian_pairs(draw):
+    """Two diagonal Hermitian forms of one rank over one algebra, with
+    small entries so that signatures often agree."""
+    field = draw(st.sampled_from(LANDHERR_FIELDS))
+
+    def element(lo, hi):
+        a1 = 0 if field.is_rational else draw(st.sampled_from([0, 0, 1, -1]))
+        x = field.element(draw(st.integers(lo, hi)), a1)
+        return x if x else field.one
+
+    D = quaternion_algebra(field, element(-9, 3), element(-9, 3))
+    rank = draw(st.integers(1, 4))
+    h1 = hermitian_form(D, *(element(-5, 5) for _ in range(rank)))
+    h2 = hermitian_form(D, *(element(-5, 5) for _ in range(rank)))
+    return h1, h2
 
 
 class TestConstruction:
@@ -209,6 +232,18 @@ class TestIsometry:
             assert hermitian_isometric(h1, h2) == forms_isometric(
                 trace_form(h1), trace_form(h2)
             )
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(hermitian_pairs())
+    def test_agrees_with_landherr(self, pair):
+        """Rank and the signatures at the ramified real places classify
+        Hermitian forms over a quaternion algebra (Landherr)."""
+        h1, h2 = pair
+        landherr = all(
+            real_signature(h1.coeffs, v) == real_signature(h2.coeffs, v)
+            for v in ramified_real_places(h1.algebra)
+        )
+        assert hermitian_isometric(h1, h2) == landherr
 
     def test_dimension_mismatch_raises(self):
         H = quaternion_algebra(QQ, -1, -1)

@@ -144,3 +144,29 @@ class TestIsPrime:
         for n in (561, 1105, 1729, 2047, *pseudoprimes):
             assert not is_prime(n)
             assert not sympy.isprime(n)
+
+    def test_pseudoprime_to_every_witness_is_split(self, cold_cache):
+        # the least strong pseudoprime to all thirteen bases 2..41: only
+        # the strong Lucas test above the deterministic range rejects it
+        n = 3317044064679887385961981
+        assert not is_prime(n)
+        assert factor(n) == {1287836182261: 1, 2575672364521: 1}
+
+    def test_matches_sympy_above_the_deterministic_range(self):
+        rng = random.Random("baillie-psw")
+        sample = []
+        for _ in range(60):
+            bits = rng.randint(80, 140)
+            n = rng.getrandbits(bits) | (1 << (bits - 1))
+            p = sympy.nextprime(n)
+            sample += [n, p, p * random_prime(rng, 40), p * p]
+        for n in sample:
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_strong_lucas_matches_sympy(self):
+        # every odd n in the range, composites included: the deterministic
+        # range never reaches the Lucas test, so it is checked directly
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+
+        for n in range(49, 30000, 2):
+            assert numtheory._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n

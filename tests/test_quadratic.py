@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quathyp.errors import FieldMismatchError
+from quathyp.errors import FieldMismatchError, UnsupportedDyadicPlaceError
 from quathyp.fields import (
     QQ,
     Field,
@@ -29,7 +31,13 @@ from quathyp.quadratic import (
     square_class_rep,
 )
 
-from oracles import qp_hilbert, qp_is_square, qp_ternary_isotropic_fast
+from oracles import (
+    forms_isometric_every_place,
+    hasse_invariant_pairwise,
+    qp_hilbert,
+    qp_is_square,
+    qp_ternary_isotropic_fast,
+)
 
 RNG = random.Random(2203)
 
@@ -38,6 +46,53 @@ COEFF_POOL = [-15, -11, -10, -7, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10, 14]
 
 def random_form(dim):
     return diagonal_form(QQ, *(RNG.choice(COEFF_POOL) for _ in range(dim)))
+
+
+#: Q, 2 inert (Q(sqrt5), Q(sqrt13)) and 2 ramified (Q(sqrt3), Q(sqrt6),
+#: Q(sqrt7), Q(sqrt2)): every field with a single dyadic place
+PROPERTY_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(13), Field(7), Field(2)]
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def elements(draw, field):
+    a0 = Fraction(draw(st.integers(-15, 15)), draw(st.sampled_from([1, 1, 2, 3])))
+    a1 = 0 if field.is_rational else draw(st.integers(-6, 6))
+    x = field.element(a0, a1)
+    return x if x else field.one
+
+
+@st.composite
+def forms(draw, max_dim=12):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    dim = draw(st.integers(1, max_dim))
+    return QuadraticForm(field, tuple(draw(elements(field)) for _ in range(dim)))
+
+
+@st.composite
+def form_pairs(draw):
+    """Two forms of one dimension over one field.  The second is a random
+    form, a relabeling of the first (permuted, square-scaled, a pair
+    <a, b> replaced by <a + b, ab(a + b)>), or the first with two
+    coefficients scaled by one element, which keeps the determinant
+    class and the dimension but can move Hasse invariants."""
+    q1 = draw(forms(max_dim=8))
+    field, coeffs = q1.field, list(q1.coeffs)
+    kind = draw(st.sampled_from(["random", "relabel", "rescale"]))
+    if kind == "random":
+        coeffs = [draw(elements(field)) for _ in coeffs]
+    elif kind == "relabel":
+        coeffs = draw(st.permutations(coeffs))
+        coeffs = [c * draw(elements(field)) ** 2 for c in coeffs]
+        if len(coeffs) > 1 and coeffs[0] + coeffs[1]:
+            a, b = coeffs[0], coeffs[1]
+            coeffs[:2] = [a + b, a * b * (a + b)]
+    elif len(coeffs) > 1:
+        u = draw(elements(field))
+        i, j = draw(st.permutations(range(len(coeffs))))[:2]
+        coeffs[i], coeffs[j] = coeffs[i] * u, coeffs[j] * u
+    return q1, QuadraticForm(field, tuple(coeffs))
 
 
 class TestConstruction:
@@ -107,6 +162,16 @@ class TestLocalInvariants:
     def test_hasse_of_unary_form_is_trivial(self):
         v3 = places_above(QQ, 3)[0]
         assert hasse_invariant(diagonal_form(QQ, 7), v3) == 1
+
+    @PROPERTY
+    @given(forms())
+    def test_hasse_by_classes_equals_pairwise_product(self, q):
+        for v in form_support(q):
+            assert hasse_invariant(q, v) == hasse_invariant_pairwise(q, v), str(v)
+
+    def test_hasse_place_field_mismatch(self):
+        with pytest.raises(FieldMismatchError):
+            hasse_invariant(diagonal_form(QQ, 1, 3), places_above(Field(5), 3)[0])
 
 
 class TestSignatures:
@@ -305,6 +370,33 @@ class TestIsometry:
         q1 = diagonal_form(k, k.one, -k.element(9, 4))  # 9+4*sqrt(5) = (2+sqrt(5))^2
         q2 = diagonal_form(k, k.one, -k.one)
         assert forms_isometric(q1, q2)
+
+    @PROPERTY
+    @given(form_pairs())
+    def test_matches_comparison_at_every_place(self, pair):
+        q1, q2 = pair
+        assert forms_isometric(q1, q2) == forms_isometric_every_place(q1, q2)
+
+
+class TestTwoSplit:
+    """2 splits in Q(sqrt(17)): the dyadic invariants are unsupported, and
+    reciprocity must not stand in for two dyadic places."""
+
+    k = Field(17)
+    q = diagonal_form(k, 1, 3, -5)
+
+    def test_isometry_raises(self):
+        with pytest.raises(UnsupportedDyadicPlaceError):
+            forms_isometric(self.q, self.q)
+
+    def test_hasse_raises_at_each_dyadic_place(self):
+        for w in places_above(self.k, 2):
+            with pytest.raises(UnsupportedDyadicPlaceError):
+                hasse_invariant(self.q, w)
+
+    def test_ternary_isotropy_raises(self):
+        with pytest.raises(UnsupportedDyadicPlaceError):
+            isotropic_global(self.q)
 
 
 class TestFormSupport:

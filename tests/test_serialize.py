@@ -11,6 +11,7 @@ from quathyp.fields import QQ, Field, places_above
 from quathyp.hermitian import hermitian_form
 from quathyp.quadratic import diagonal_form
 from quathyp.serialize import (
+    MAX_BITS,
     algebra_to_json,
     ambient_to_json,
     element_to_json,
@@ -79,6 +80,21 @@ class TestElements:
     def test_booleans_rejected(self):
         with pytest.raises(DescriptorError):
             parse_element(True, QQ)
+
+    def test_bit_size_cap(self):
+        top = 2**MAX_BITS - 1  # MAX_BITS bits
+        assert MAX_BITS == 256
+        assert parse_element(-top, QQ) == QQ.element(-top)
+        assert parse_element(f"1/{top}", QQ) == QQ.element(Fraction(1, top))
+        for value, ptr in (
+            (top + 1, ""),
+            (f"-1/{top + 1}", ""),
+            ({"a0": 1, "a1": -(top + 1)}, "/a1"),
+        ):
+            with pytest.raises(DescriptorError) as info:
+                parse_element(value, Field(5))
+            assert info.value.pointer == ptr
+            assert "257-bit" in str(info.value)
 
 
 class TestAlgebrasAndForms:
