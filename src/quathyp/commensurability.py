@@ -32,6 +32,10 @@ from .hermitian import HermitianForm, signature_at_ramified
 IDENTITY = "id"
 CONJUGATION = "conj"
 
+#: largest m for which `canonical_hermitian` builds a form: its cost is
+#: linear in m, and an unbounded m exhausts memory
+MAX_CANONICAL_M = 1024
+
 
 def field_automorphisms(field: Field) -> tuple[str, ...]:
     return (IDENTITY,) if field.is_rational else (IDENTITY, CONJUGATION)
@@ -103,8 +107,8 @@ def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
     embedding sending sqrt(d) to +sqrt(d), and +sqrt(d) when v0 is the
     other one.
     """
-    if m < 2:
-        raise ValueError("ambient quaternionic dimension must be at least 2")
+    if not 2 <= m <= MAX_CANONICAL_M:
+        raise ValueError(f"the canonical form needs 2 <= m <= {MAX_CANONICAL_M}, got m = {m}")
     if not is_admissible(t):
         raise ValueError(f"{t} is not admissible")
     field = t.field

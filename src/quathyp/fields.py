@@ -7,8 +7,12 @@ The module provides the base-field layer everything else sits on:
   :class:`fractions.Fraction` coordinates;
 * :class:`Place` -- real embeddings and finite places (primes of the
   field, tagged by how the rational prime below them splits);
-* local predicates: exact signs at real embeddings, valuations, residue
-  characters, and local/global square tests.
+* local predicates: exact signs at real embeddings, valuations, and
+  local/global square tests.  `local_square_class` is the one square-class
+  decision: (valuation mod 2, unit class) of an element at a real place,
+  an odd place or the dyadic place of Q.  Hilbert symbols and Hasse
+  invariants are read off these keys (:mod:`quathyp.symbols`,
+  :mod:`quathyp.quadratic`).
 
 Dyadic completions of a quadratic field are supported when 2 is inert
 (d = 5 mod 8) or ramified (d even or d = 3 mod 4).  When 2 splits
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import PlaceKindError, UnsupportedDyadicPlaceError
+from .errors import FieldMismatchError, PlaceKindError, UnsupportedDyadicPlaceError
 from .numtheory import (
     factor,
     is_prime,
@@ -102,8 +106,6 @@ QQ = Field()
 def _coerce(field: Field, other) -> "FieldElement":
     if isinstance(other, FieldElement):
         if other.field != field:
-            from .errors import FieldMismatchError
-
             raise FieldMismatchError(
                 f"cannot combine elements of {field} and {other.field}"
             )
@@ -353,6 +355,16 @@ def conjugate_place(v: Place) -> Place:
 # ---------------------------------------------------------------------------
 
 
+def _require_nonzero(x: FieldElement):
+    if not x:
+        raise ValueError("operation undefined at 0")
+
+
+def _require_same_field(x: FieldElement, v: Place):
+    if x.field != v.field:
+        raise FieldMismatchError("element and place belong to different fields")
+
+
 def sign_at_real_place(x: FieldElement, v: Place) -> int:
     """Exact sign (+1, -1 or 0) of the image of x under the embedding v.
 
@@ -361,24 +373,20 @@ def sign_at_real_place(x: FieldElement, v: Place) -> int:
     """
     if not v.is_real:
         raise PlaceKindError(f"{v} is not a real embedding")
-    if v.field != x.field:
-        from .errors import FieldMismatchError
-
-        raise FieldMismatchError("element and place belong to different fields")
-    a0, a1 = x.a0, x.a1
+    _require_same_field(x, v)
+    n0, n1 = x.a0.numerator, x.a1.numerator
     if v.embedding == 1:
-        a1 = -a1
-    if a1 == 0:
-        return 0 if a0 == 0 else (1 if a0 > 0 else -1)
-    if a0 == 0:
-        return 1 if a1 > 0 else -1
-    if (a0 > 0) == (a1 > 0):
-        return 1 if a0 > 0 else -1
+        n1 = -n1
+    s0, s1 = (n0 > 0) - (n0 < 0), (n1 > 0) - (n1 < 0)
+    if s0 == s1 or not s1:
+        return s0
+    if not s0:
+        return s1
     # opposite signs: the larger of a0^2, a1^2 d wins (they are never equal
     # because d is not a rational square)
-    if a0 * a0 > a1 * a1 * x.field.d:
-        return 1 if a0 > 0 else -1
-    return 1 if a1 > 0 else -1
+    if (n0 * x.a1.denominator) ** 2 > (n1 * x.a0.denominator) ** 2 * x.field.d:
+        return s0
+    return s1
 
 
 def real_signature(coeffs, v: Place) -> tuple[int, int]:
@@ -389,13 +397,8 @@ def real_signature(coeffs, v: Place) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Valuations and residue characters at finite places
+# Valuations and square classes at finite places
 # ---------------------------------------------------------------------------
-
-
-def _require_nonzero(x: FieldElement):
-    if not x:
-        raise ValueError("operation undefined at 0")
 
 
 def _check_dyadic_supported(v: Place):
@@ -405,28 +408,39 @@ def _check_dyadic_supported(v: Place):
         )
 
 
-def _split_image(x: FieldElement, v: Place, digits: int) -> tuple[int, int]:
-    """Valuation and unit part (mod p**digits) of x in the completion at
-    a split place.
+def _integer_coords(x: FieldElement) -> tuple[int, int, int]:
+    """(A0, A1, L) with x = (A0 + A1*sqrt(d)) / L, L the least common
+    denominator of the coordinates."""
+    L = math.lcm(x.a0.denominator, x.a1.denominator)
+    return x.a0.numerator * (L // x.a0.denominator), x.a1.numerator * (L // x.a1.denominator), L
+
+
+def _char(n: int, p: int) -> int:
+    """Quadratic character mod p of the p-free part of an integer n != 0."""
+    return legendre(n // p ** val(n, p), p)
+
+
+def _split_image(x: FieldElement, v: Place) -> tuple[int, int]:
+    """Valuation and unit part (mod p) of x in the completion at a split
+    place.
 
     The completion is Q_p; sqrt(d) goes to the canonically labeled root
     (split-first: the Hensel lift of the smaller square root of d mod p,
     split-second: its negative).
     """
     p = v.p
-    lcm = math.lcm(x.a0.denominator, x.a1.denominator)
-    A0, A1 = int(x.a0 * lcm), int(x.a1 * lcm)
+    A0, A1, lcm = _integer_coords(x)
     # The valuation of A0 + A1*r is at most v_p of the integer norm
     # A0^2 - A1^2 d, because the conjugate image is also a p-adic integer.
     nrm = A0 * A0 - A1 * A1 * x.field.d
-    m = val(nrm, p) + digits
+    m = val(nrm, p) + 1
     r = sqrt_mod_prime_power(x.field.d, p, m)
     if v.position == SPLIT_SECOND:
         r = p**m - r
     t = (A0 + A1 * r) % p**m
-    vt = val(t, p)
-    unit = (t // p**vt) % p**digits
-    return vt - val(lcm, p), unit
+    vt, e = val(t, p), val(lcm, p)
+    # the image is t / lcm: its unit part divides by lcm's as well
+    return vt - e, t // p**vt * pow(lcm // p**e, -1, p) % p
 
 
 def local_valuation(x: FieldElement, v: Place) -> int:
@@ -435,11 +449,16 @@ def local_valuation(x: FieldElement, v: Place) -> int:
     if not v.is_finite:
         raise PlaceKindError(f"{v} is not a finite place")
     _check_dyadic_supported(v)
+    return _valuation(x, v)
+
+
+def _valuation(x: FieldElement, v: Place) -> int:
+    """`local_valuation` without the argument checks."""
     p = v.p
     if v.position == RATIONAL:
         return val_fraction(x.a0, p)
     if v.position in (SPLIT_FIRST, SPLIT_SECOND):
-        return _split_image(x, v, 1)[0]
+        return _split_image(x, v)[0]
     if v.position == INERT:
         if p == 2:
             c0, c1 = _omega_coords(x)
@@ -448,38 +467,46 @@ def local_valuation(x: FieldElement, v: Place) -> int:
         return min(vals)
     # ramified: v(x) = v_p(norm(x)); sqrt(d) (or 1+sqrt(d) at 2) has
     # valuation 1 and p valuation 2 (odd p: valuation 2 of p means e = 2)
-    if v.position == RAMIFIED:
-        return val_fraction(x.norm(), p)
-    raise AssertionError(f"unknown position {v.position}")  # pragma: no cover
+    return val_fraction(x.norm(), p)
 
 
-def residue_character(x: FieldElement, v: Place) -> int:
-    """Quadratic character of the unit part of x in the residue field.
+def local_square_class(x: FieldElement, v: Place) -> tuple[int, int]:
+    """The square class of x at v as (valuation mod 2, unit class).
 
-    Defined for odd finite places only.  Writing x = pi^n * u with u a
-    unit, returns +1 if the residue of u is a square in the residue
-    field, else -1.  For inert places the residue field has p^2 elements
-    and the character is computed through the norm (an element of
-    F_{p^2}^* is a square exactly when its norm to F_p^* is).
+    Two elements share the key exactly when their ratio is a square in
+    the completion at v.  The unit class is the sign at a real place
+    (where the valuation is taken as 0), the quadratic character of the
+    unit part in the residue field at an odd place, and the unit part mod
+    8 at the dyadic place of Q.  The dyadic place of Q(sqrt(d)) has no
+    such key: 2 split raises UnsupportedDyadicPlaceError, 2 inert or
+    ramified PlaceKindError.
     """
     _require_nonzero(x)
-    if not v.is_finite or v.p == 2:
-        raise PlaceKindError(f"residue character requires an odd finite place, got {v}")
+    if v.is_real:
+        return 0, sign_at_real_place(x, v)
+    _require_same_field(x, v)
     p = v.p
-    if v.position == RATIONAL:
-        return legendre(unit_mod(x.a0, p, p), p)
+    if p == 2:
+        _check_dyadic_supported(v)
+        if v.position != RATIONAL:
+            raise PlaceKindError(f"the dyadic place of {v.field} has no square-class key")
+        return val_fraction(x.a0, 2) % 2, unit_mod(x.a0, 2, 8)
     if v.position in (SPLIT_FIRST, SPLIT_SECOND):
-        return legendre(_split_image(x, v, 1)[1], p)
+        n, u = _split_image(x, v)
+        return n % 2, legendre(u, p)
+    n = _valuation(x, v)
+    if v.position == RATIONAL:
+        # num/den and num*den differ by the square den^2
+        return n % 2, _char(x.a0.numerator * x.a0.denominator, p)
     if v.position == INERT:
-        return legendre(unit_mod(x.norm(), p, p), p)
+        # a unit of F_{p^2} is a square exactly when its norm is one in
+        # F_p; the norm of x is (A0^2 - A1^2 d) / L^2
+        A0, A1, _ = _integer_coords(x)
+        return n % 2, _char(A0 * A0 - A1 * A1 * x.field.d, p)
     # ramified: divide by the uniformizer sqrt(d); the unit's residue is
-    # its rational coordinate a0/d^(n/2) (n even) or a1/d^((n-1)/2) (n odd)
-    n = val_fraction(x.norm(), p)
-    if n % 2 == 0:
-        u0 = x.a0 / Fraction(x.field.d) ** (n // 2)
-    else:
-        u0 = x.a1 / Fraction(x.field.d) ** ((n - 1) // 2)
-    return legendre(unit_mod(u0, p, p), p)
+    # its rational coordinate a0/d^(n/2) (n even) or a1/d^((n-1)/2)
+    u = (x.a1 if n % 2 else x.a0) / Fraction(x.field.d) ** (n // 2)
+    return n % 2, _char(u.numerator * u.denominator, p)
 
 
 # ---------------------------------------------------------------------------
@@ -547,27 +574,18 @@ def _is_square_dyadic_ramified(x: FieldElement) -> bool:
 def is_local_square(x: FieldElement, v: Place) -> bool:
     """Whether x is a square in the completion of its field at v.
 
-    Real places: positive sign.  Odd finite places: even valuation and
-    trivial residue character.  The dyadic place of Q: even valuation and
-    unit part = 1 mod 8.  The single dyadic place of a quadratic field
-    (2 inert or ramified): even valuation and a Hensel-certified unit
-    square; 2 split raises UnsupportedDyadicPlaceError.
+    Everywhere but the single dyadic place of a quadratic field this is
+    `local_square_class(x, v) == (0, 1)`.  That place (2 inert or
+    ramified) takes even valuation and a Hensel-certified unit square;
+    2 split raises UnsupportedDyadicPlaceError.
     """
     _require_nonzero(x)
-    if x.field != v.field:
-        from .errors import FieldMismatchError
-
-        raise FieldMismatchError("element and place belong to different fields")
-    if v.is_real:
-        return sign_at_real_place(x, v) > 0
-    _check_dyadic_supported(v)
-    if v.p != 2:
-        return local_valuation(x, v) % 2 == 0 and residue_character(x, v) == 1
-    if v.position == RATIONAL:
-        return val_fraction(x.a0, 2) % 2 == 0 and unit_mod(x.a0, 2, 8) == 1
-    if v.position == INERT:
+    _require_same_field(x, v)
+    if v.is_dyadic and v.position == INERT:
         return _is_square_dyadic_inert(x)
-    return _is_square_dyadic_ramified(x)
+    if v.is_dyadic and v.position == RAMIFIED:
+        return _is_square_dyadic_ramified(x)
+    return local_square_class(x, v) == (0, 1)
 
 
 def fraction_sqrt(x: Fraction) -> Fraction:

@@ -6,34 +6,33 @@ class, Hasse invariant, real signatures), decides isometry by
 local-global comparison, and decides isotropy locally and globally.
 
 A Hilbert symbol depends only on the local square classes of its
-arguments, so the Hasse invariant groups the coefficients by square
-class (sign; valuation parity and residue character at odd places;
-valuation parity and unit mod 8 at the dyadic place of Q) and evaluates
-one symbol per pair of classes: at most 36 per place.  At the single
-dyadic place of Q(sqrt(d)) it follows from the other places by Hilbert
-reciprocity (Serre, *A Course in Arithmetic*, Ch. III-IV).
+arguments, so the Hasse invariant counts the coefficients' keys
+(:func:`~quathyp.fields.local_square_class`) and evaluates
+:func:`~quathyp.symbols.class_symbol` once per pair of classes: at most
+36 per place.  At the single dyadic place of Q(sqrt(d)) it follows from
+the other places by Hilbert reciprocity (`symbols.by_reciprocity`;
+Serre, *A Course in Arithmetic*, Ch. III-IV).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FieldMismatchError, PlaceKindError, UnsupportedDyadicPlaceError
+from .errors import FieldMismatchError, PlaceKindError
 from .fields import (
     Field,
     FieldElement,
     Place,
     is_global_square,
     is_local_square,
-    local_valuation,
+    local_square_class,
     real_signature,
-    residue_character,
-    sign_at_real_place,
 )
-from .numtheory import squarefree_part, unit_mod, val_fraction
-from .symbols import hilbert_symbol, symbol_support
+from .numtheory import squarefree_part
+from .symbols import by_reciprocity, class_symbol, hilbert_symbol, symbol_support
 
 
 @dataclass(frozen=True)
@@ -126,31 +125,18 @@ def signature_at(q: QuadraticForm, v: Place) -> tuple[int, int]:
     return real_signature(q.coeffs, v)
 
 
-def _local_square_class(x: FieldElement, v: Place):
-    """A key two elements share exactly when their ratio is a square at
-    v: a real place, an odd place or the dyadic place of Q."""
-    if v.is_real:
-        return sign_at_real_place(x, v)
-    if v.p != 2:
-        return local_valuation(x, v) % 2, residue_character(x, v)
-    return val_fraction(x.a0, 2) % 2, unit_mod(x.a0, 2, 8)
-
-
 def _hasse_by_classes(q: QuadraticForm, v: Place) -> int:
     """The pairwise product at v, one symbol per pair of square classes:
-    class c (n_c members, any one r_c) gives (r_c, r_c)^(n_c(n_c-1)/2),
-    and two classes give (r_c, r_c')^(n_c n_c')."""
-    classes: dict[object, list] = {}
-    for c in q.coeffs:
-        classes.setdefault(_local_square_class(c, v), [c, 0])[1] += 1
-    reps = list(classes.values())
+    a class with n_c members gives its own symbol n_c(n_c-1)/2 times, and
+    two classes give theirs n_c n_c' times."""
+    counts = list(Counter(local_square_class(c, v) for c in q.coeffs).items())
     out = 1
-    for i, (a, na) in enumerate(reps):
+    for i, (ka, na) in enumerate(counts):
         if na * (na - 1) // 2 % 2:
-            out *= hilbert_symbol(a, a, v)
-        for b, nb in reps[i + 1:]:
+            out *= class_symbol(ka, ka, v)
+        for kb, nb in counts[i + 1:]:
             if na * nb % 2:
-                out *= hilbert_symbol(a, b, v)
+                out *= class_symbol(ka, kb, v)
     return out
 
 
@@ -166,17 +152,9 @@ def hasse_invariant(q: QuadraticForm, v: Place) -> int:
         raise FieldMismatchError("form and place belong to different fields")
     if q.dim == 1:
         return 1
-    if not v.is_dyadic or v.field.is_rational:
-        return _hasse_by_classes(q, v)
-    others = [w for w in form_support(q) if w != v]
-    if any(w.is_dyadic for w in others):
-        raise UnsupportedDyadicPlaceError(
-            f"2 splits in {v.field}; dyadic symbols are unsupported"
-        )
-    out = 1
-    for w in others:
-        out *= _hasse_by_classes(q, w)
-    return out
+    if v.is_dyadic and not v.field.is_rational:
+        return by_reciprocity(v, form_support(q), lambda w: _hasse_by_classes(q, w))
+    return _hasse_by_classes(q, v)
 
 
 def local_invariants(q: QuadraticForm, v: Place) -> LocalQuadInvariants:

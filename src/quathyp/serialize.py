@@ -14,7 +14,8 @@ The wire schema:
   ``{"kind": "split", "field": ..., "n": 3}``
 
 Parse errors raise :class:`~quathyp.errors.DescriptorError` carrying the
-JSON pointer of the offending field; so does a numerator or denominator
+JSON pointer of the offending field; so does any integer a descriptor
+carries (a numerator or denominator, a field's d, the prime of a place)
 longer than `MAX_BITS` bits, which keeps factoring within reach.  Finite
 places are written in a compact text syntax: ``inf_0``, ``7``, ``11#1``
 (first place over a split prime).
@@ -49,6 +50,11 @@ from .subspaces import ComplexRestrictionData
 MAX_BITS = 256
 
 
+def _require_bits(bits: int, what: str, ptr: str) -> None:
+    if bits > MAX_BITS:
+        raise DescriptorError(f"a {bits}-bit {what} exceeds {MAX_BITS} bits", ptr)
+
+
 def _require_dict(obj, ptr: str) -> dict:
     if not isinstance(obj, dict):
         raise DescriptorError(f"expected an object, got {type(obj).__name__}", ptr)
@@ -71,6 +77,7 @@ def parse_field(obj, ptr: str = "") -> Field:
     d = _get(obj, "d", ptr)
     if not isinstance(d, int) or isinstance(d, bool):
         raise DescriptorError("d must be an integer", f"{ptr}/d")
+    _require_bits(d.bit_length(), "d", f"{ptr}/d")
     try:
         return Field(d)
     except ValueError as exc:
@@ -92,10 +99,7 @@ def _parse_fraction(value, ptr: str) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise DescriptorError(f"cannot read {value!r} as p/q", ptr) from None
         bits = max(x.numerator.bit_length(), x.denominator.bit_length())
-        if bits > MAX_BITS:
-            raise DescriptorError(
-                f"a {bits}-bit numerator or denominator exceeds {MAX_BITS} bits", ptr
-            )
+        _require_bits(bits, "numerator or denominator", ptr)
         return x
     raise DescriptorError(
         f"expected an integer or 'p/q' string, got {type(value).__name__}", ptr
@@ -281,6 +285,7 @@ def parse_place(text: str, field: Field, ptr: str = "") -> Place:
         p = int(body)
     except ValueError:
         raise DescriptorError(f"cannot read place {text!r}", ptr) from None
+    _require_bits(p.bit_length(), "prime", ptr)
     kind = split_prime(p, field)
     if pos:
         if kind != "split" or pos not in ("1", "2"):

@@ -1,27 +1,27 @@
 """Hilbert symbols (a,b)_v over completions of Q and Q(sqrt(d)).
 
 The symbol is +1 when z^2 = a x^2 + b y^2 has a nontrivial solution over
-the completion at v and -1 otherwise.  Real places compare signs; odd
-finite places use the tame formula; the dyadic place of Q uses the
-classical exponent formula in the unit parts mod 8.  For a quadratic
-field with a *single* place over 2 (2 inert or ramified) the dyadic
-symbol is recovered exactly from the product formula over all other
-places of the support; when 2 splits the dyadic symbols are unsupported.
+the completion at v and -1 otherwise.  It depends only on the square
+classes of a and b at v, so `class_symbol` evaluates it from the two keys
+of :func:`~quathyp.fields.local_square_class`: signs at real places, the
+tame formula at odd places, the classical exponent formula at the dyadic
+place of Q.  For a quadratic field with a *single* place over 2 (2 inert
+or ramified) the dyadic symbol is recovered exactly from the product
+formula over all other places of the support (`by_reciprocity`); when 2
+splits the dyadic symbols are unsupported.
 """
 
 from __future__ import annotations
 
-from .errors import FieldMismatchError
+import math
+
+from .errors import FieldMismatchError, UnsupportedDyadicPlaceError
 from .fields import (
     FieldElement,
     Place,
     element_support_primes,
-    local_valuation,
+    local_square_class,
     places_above,
-    residue_character,
-    sign_at_real_place,
-    unit_mod,
-    val_fraction,
 )
 from .numtheory import factor
 
@@ -36,36 +36,42 @@ def _omega(u: int) -> int:
     return (u * u - 1) // 8 % 2
 
 
-def _symbol_real(a: FieldElement, b: FieldElement, v: Place) -> int:
-    neg_a = sign_at_real_place(a, v) < 0
-    neg_b = sign_at_real_place(b, v) < 0
-    return -1 if neg_a and neg_b else 1
+def class_symbol(ka: tuple[int, int], kb: tuple[int, int], v: Place) -> int:
+    """The Hilbert symbol (a,b)_v from ka = local_square_class(a, v) and
+    kb = local_square_class(b, v).
 
-
-def _symbol_tame(a: FieldElement, b: FieldElement, v: Place) -> int:
-    # (a,b)_v = chi(-1)^(alpha*beta) * chi(a)^beta * chi(b)^alpha where
-    # alpha, beta are the valuations and chi is the quadratic character of
-    # the residue field applied to unit parts (residue_character strips
-    # the uniformizer power).
-    alpha = local_valuation(a, v)
-    beta = local_valuation(b, v)
-    sym = 1
-    if alpha % 2 and beta % 2:
-        sym *= residue_character(v.field.element(-1), v)
-    if beta % 2:
-        sym *= residue_character(a, v)
-    if alpha % 2:
-        sym *= residue_character(b, v)
-    return sym
-
-
-def _symbol_dyadic_rational(a: FieldElement, b: FieldElement) -> int:
-    alpha = val_fraction(a.a0, 2)
-    beta = val_fraction(b.a0, 2)
-    ua = unit_mod(a.a0, 2, 8)
-    ub = unit_mod(b.a0, 2, 8)
+    At an odd place, with valuations alpha, beta and chi the residue
+    character of the unit parts, (a,b)_v = chi(-1)^(alpha beta)
+    chi(a)^beta chi(b)^alpha.  At the dyadic place of Q the exponent is
+    eps(a) eps(b) + alpha omega(b) + beta omega(a) in the units mod 8.  At
+    a real place the symbol is -1 exactly when both signs are negative.
+    """
+    (alpha, ua), (beta, ub) = ka, kb
+    if v.is_real:
+        return -1 if ua < 0 and ub < 0 else 1
+    if v.p != 2:
+        sym = local_square_class(v.field.element(-1), v)[1] if alpha and beta else 1
+        if beta:
+            sym *= ua
+        if alpha:
+            sym *= ub
+        return sym
     exponent = _epsilon(ua) * _epsilon(ub) + alpha * _omega(ub) + beta * _omega(ua)
     return -1 if exponent % 2 else 1
+
+
+def by_reciprocity(v: Place, support, local) -> int:
+    """The factor at v that makes the product of `local` over `support`
+    +1: the product of local(w) over its other places (Hilbert
+    reciprocity).  Used at the single dyadic place of Q(sqrt(d)); a
+    second dyadic place in the support (2 splits) raises
+    UnsupportedDyadicPlaceError."""
+    others = [w for w in support if w != v]
+    if any(w.is_dyadic for w in others):
+        raise UnsupportedDyadicPlaceError(
+            f"2 splits in {v.field}; dyadic symbols are unsupported"
+        )
+    return math.prod(local(w) for w in others)
 
 
 def hilbert_symbol(a: FieldElement, b: FieldElement, v: Place) -> int:
@@ -74,29 +80,9 @@ def hilbert_symbol(a: FieldElement, b: FieldElement, v: Place) -> int:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     if a.field != b.field or a.field != v.field:
         raise FieldMismatchError("symbol arguments and place must share one field")
-    if v.is_real:
-        return _symbol_real(a, b, v)
-    if v.p != 2:
-        return _symbol_tame(a, b, v)
-    if v.field.is_rational:
-        return _symbol_dyadic_rational(a, b)
-    # Single dyadic place of a quadratic field: every *other* symbol is
-    # directly computable, so reciprocity pins this one down exactly.
-    # (2 split raises from local_valuation/places_above machinery below.)
-    prod = 1
-    for w in symbol_support(a, b):
-        if w.is_dyadic:
-            if w != v:
-                # two dyadic places: 2 splits; fail the same way the
-                # direct machinery would
-                from .errors import UnsupportedDyadicPlaceError
-
-                raise UnsupportedDyadicPlaceError(
-                    f"2 splits in {v.field}; dyadic symbols are unsupported"
-                )
-            continue
-        prod *= hilbert_symbol(a, b, w)
-    return prod
+    if v.is_dyadic and not v.field.is_rational:
+        return by_reciprocity(v, symbol_support(a, b), lambda w: hilbert_symbol(a, b, w))
+    return class_symbol(local_square_class(a, v), local_square_class(b, v), v)
 
 
 def symbol_support(*elements: FieldElement) -> tuple[Place, ...]:
@@ -130,11 +116,12 @@ def symbol_support(*elements: FieldElement) -> tuple[Place, ...]:
 def product_formula_check(a: FieldElement, b: FieldElement) -> bool:
     """Whether the product of (a,b)_v over the support is +1.
 
-    Over Q every factor is computed independently, so this genuinely
-    checks reciprocity; over a quadratic field the lone dyadic factor is
-    itself defined through reciprocity, making the product +1 by
-    construction there (the nontrivial content then lives in the other
-    factors; see the test suite's direct dyadic square cross-checks).
+    Over Q every factor is computed from its own pair of square-class
+    keys, so this genuinely checks reciprocity.  Over a quadratic field
+    the lone dyadic factor is `by_reciprocity` of the others, so the
+    product is +1 by construction there (the nontrivial content lives in
+    the other factors; see the test suite's direct dyadic square
+    cross-checks).
     """
     prod = 1
     for v in symbol_support(a, b):

@@ -5,7 +5,10 @@ and isotropy in p-adic fields are decided by brute-force enumeration of
 residues with explicit lifting-precision bounds, quadratic residue
 characters over F_p^2 are computed by exponentiation in a polynomial
 model of the field, and sympy supplies an unrelated implementation of
-Legendre symbols, modular square roots and factoring.  Hasse invariants
+Legendre symbols, modular square roots and factoring.  Hilbert symbols
+are evaluated by one kernel per kind of place (sign, tame formula,
+dyadic exponent formula) from valuations and residue characters
+computed here, not from the library's square-class keys.  Hasse invariants
 are products of one Hilbert symbol per coefficient pair, and isometry
 compares them at every place, the dyadic ones included.  For the numeric
 sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
@@ -16,6 +19,7 @@ slow and simple on purpose.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -24,7 +28,7 @@ import numpy as np
 import sympy
 
 import quathyp.geometry as geo
-from quathyp.fields import Place
+from quathyp.fields import SPLIT_FIRST, SPLIT_SECOND, Place
 from quathyp.quadratic import form_support, same_square_class, signature_at
 from quathyp.symbols import hilbert_symbol
 
@@ -225,6 +229,113 @@ def split_images(a0: Fraction, a1: Fraction, d: int, p: int, digits: int):
         unit_mod = p**digits
         out.append((v, (num * pow(den, -1, unit_mod)) % unit_mod))
     return out
+
+
+def real_sign(x, v) -> int:
+    """Sign of x under the real embedding v, exactly, by sympy."""
+    root = sympy.sqrt(x.field.d) if not x.field.is_rational else 0
+    if v.embedding == 1:
+        root = -root
+    return int(sympy.sign(sympy.Rational(x.a0) + sympy.Rational(x.a1) * root))
+
+
+def _vp(x: Fraction, p: int) -> int:
+    x = Fraction(x)
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _residue(x: Fraction, modulus: int) -> int:
+    """x mod modulus for a fraction whose denominator is a unit there."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, modulus) % modulus
+
+
+def _split_index(v) -> int:
+    return {SPLIT_FIRST: 0, SPLIT_SECOND: 1}[v.position]
+
+
+def odd_place_unit(x, v) -> tuple[int, int]:
+    """(valuation, quadratic residue character of the unit part) of x at
+    an odd finite place: sympy Legendre symbols over Q and at split
+    places (through the Newton-lifted images of `split_images`), the
+    F_{p^2} power test at inert places, and the leading coordinate after
+    dividing by powers of the uniformizer sqrt(d) at ramified places."""
+    p, a0, a1 = v.p, x.a0, x.a1
+    if x.field.is_rational:
+        n = _vp(a0, p)
+        return n, sympy.legendre_symbol(_residue(a0 / Fraction(p) ** n, p), p)
+    d = x.field.d
+    if v.position in (SPLIT_FIRST, SPLIT_SECOND):
+        n, unit = split_images(a0, a1, d, p, 1)[_split_index(v)]
+        assert n is not None, "split image precision exhausted"
+        return n, sympy.legendre_symbol(unit, p)
+    if d % p:
+        n = min(_vp(c, p) for c in (a0, a1) if c)
+        scale = Fraction(p) ** n
+        return n, 1 if fp2_is_square(a0 / scale, a1 / scale, d, p) else -1
+    # ramified: v(a0) = 2 v_p(a0) and v(a1 sqrt d) = 2 v_p(a1) + 1 differ
+    # in parity, so the smaller one is the valuation and its term leads
+    n = min(2 * _vp(a0, p) if a0 else math.inf, 2 * _vp(a1, p) + 1 if a1 else math.inf)
+    lead = a1 if n % 2 else a0
+    return n, sympy.legendre_symbol(_residue(lead / Fraction(d) ** (n // 2), p), p)
+
+
+def hilbert_symbol_by_kind(a, b, v) -> int:
+    """(a,b)_v at a real place, an odd finite place or the dyadic place
+    of Q, with one kernel per kind of place: both signs negative; the
+    tame formula chi(-1)^(alpha beta) chi(a)^beta chi(b)^alpha; the
+    dyadic exponent eps(a) eps(b) + alpha omega(b) + beta omega(a) in
+    the units mod 8."""
+    if v.is_real:
+        return -1 if real_sign(a, v) < 0 and real_sign(b, v) < 0 else 1
+    if v.p != 2:
+        alpha, chi_a = odd_place_unit(a, v)
+        beta, chi_b = odd_place_unit(b, v)
+        sym = 1
+        if alpha % 2 and beta % 2:
+            sym *= odd_place_unit(v.field.element(-1), v)[1]
+        if beta % 2:
+            sym *= chi_a
+        if alpha % 2:
+            sym *= chi_b
+        return sym
+    assert v.field.is_rational, "the dyadic kernel covers Q only"
+    alpha, beta = _vp(a.a0, 2), _vp(b.a0, 2)
+    ua = _residue(a.a0 / Fraction(2) ** alpha, 8)
+    ub = _residue(b.a0 / Fraction(2) ** beta, 8)
+    eps = lambda u: (u - 1) // 2 % 2  # noqa: E731
+    omega = lambda u: (u * u - 1) // 8 % 2  # noqa: E731
+    exponent = eps(ua) * eps(ub) + alpha * omega(ub) + beta * omega(ua)
+    return -1 if exponent % 2 else 1
+
+
+def is_local_square_by_kind(x, v) -> bool:
+    """Square test at a real place, an odd finite place or the dyadic
+    place of Q: a positive sign, `qp_is_square` over Q, the Newton-lifted
+    `split_images` at split places, `fp2_is_square` at inert places, and
+    the digit search `quadratic_local_is_square` at ramified places."""
+    if v.is_real:
+        return real_sign(x, v) > 0
+    if x.field.is_rational:
+        return qp_is_square(x.a0, v.p)
+    p, d = v.p, x.field.d
+    if v.position in (SPLIT_FIRST, SPLIT_SECOND) or d % p:
+        n, chi = odd_place_unit(x, v)
+        return n % 2 == 0 and chi == 1
+    # ramified: strip square factors p^2 from the integer coordinates so
+    # the digit search stays within its certified valuation range
+    den = x.a0.denominator * x.a1.denominator
+    c0, c1 = x.a0 * den * den, x.a1 * den * den
+    while c0 % (p * p) == 0 and c1 % (p * p) == 0:
+        c0, c1 = c0 / (p * p), c1 / (p * p)
+    return quadratic_local_is_square(Fraction(c0), Fraction(c1), d, p, digits=7)
 
 
 # ---------------------------------------------------------------------------

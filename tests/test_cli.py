@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -56,6 +57,21 @@ class TestSymbol:
         code, _, err = run(capsys, "symbol", str(2**256), "-1")
         assert code == 2
         assert err.startswith("input error: ") and err.rstrip().endswith("(at /a)")
+
+    @pytest.mark.parametrize(
+        "argv,pointer",
+        [
+            (["--field", f'{{"base": "quadratic", "d": {2**256 + 1}}}'], "/d"),
+            (["--place", str(2**256 + 1)], "/place"),
+        ],
+    )
+    def test_oversized_field_or_place_is_an_input_error(self, capsys, argv, pointer):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "symbol", *argv, "--", "-1", "-1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("input error: a 257-bit ")
+        assert err.rstrip().endswith(f"exceeds 256 bits (at {pointer})")
 
     def test_fraction_shorthand(self, capsys):
         code, out, _ = run(capsys, "symbol", "--place", "2", "2/9", "5")
@@ -228,6 +244,11 @@ class TestCanonicalForm:
         )
         data = json.loads(out)
         assert len(data["form"]["coeffs"]) == 4
+
+    def test_m_bound_exits_2(self, capsys):
+        code, out, err = run(capsys, "canonical-form", "--m", "1025", HAMILTON_TRIPLE)
+        assert code == 2 and out == ""
+        assert err == "error: the canonical form needs 2 <= m <= 1024, got m = 1025\n"
 
 
 class TestEmbeddings:

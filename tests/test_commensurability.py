@@ -14,6 +14,7 @@ from quathyp.commensurability import (
     AdmissibleTriple,
     OrbifoldClassDescriptor,
     algebra_image,
+    MAX_CANONICAL_M,
     canonical_hermitian,
     field_automorphisms,
     general_cn_commensurable,
@@ -186,6 +187,12 @@ class TestCanonicalForms:
     def test_rank_below_two_rejected(self):
         with pytest.raises(ValueError):
             canonical_hermitian(rational_triple(-1, -1), 1)
+
+    def test_rank_above_bound_rejected(self):
+        t = rational_triple(-1, -1)
+        assert canonical_hermitian(t, MAX_CANONICAL_M).dim == MAX_CANONICAL_M + 1
+        with pytest.raises(ValueError, match="2 <= m <= 1024, got m = 1025"):
+            canonical_hermitian(t, MAX_CANONICAL_M + 1)
 
     def test_inadmissible_triple_rejected(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quathyp.errors import UnsupportedDyadicPlaceError
+from quathyp.errors import FieldMismatchError, PlaceKindError, UnsupportedDyadicPlaceError
 from quathyp.fields import (
     QQ,
     Field,
@@ -14,13 +16,16 @@ from quathyp.fields import (
     element_support_primes,
     is_global_square,
     is_local_square,
+    local_square_class,
     local_valuation,
     places_above,
     sign_at_real_place,
     split_prime,
 )
+from quathyp.symbols import symbol_support
 
 import oracles
+from test_symbols import PROPERTY, PROPERTY_FIELDS, elements
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 FIELDS = [Field(d) for d in (2, 3, 5, 6, 7, 10, 13, 21, 29)]
@@ -331,6 +336,67 @@ class TestLocalSquaresQuadratic:
         w = places_above(k, 2)[0]
         with pytest.raises(UnsupportedDyadicPlaceError):
             is_local_square(k.element(3), w)
+
+
+@st.composite
+def class_pairs(draw):
+    """(x, y) over one field: y is random, x times a square, or x times
+    -1, a small prime or a random element, so both equal and unequal
+    square classes come up at every kind of place."""
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    x = draw(elements(field))
+    kind = draw(st.sampled_from(["random", "square", "twist"]))
+    if kind == "random":
+        return x, draw(elements(field))
+    if kind == "square":
+        return x, x * draw(elements(field)) ** 2
+    t = draw(st.one_of(st.sampled_from([-1, 2, 3, 5, 7, 11, 13]), elements(field)))
+    return x, x * t
+
+
+class TestLocalSquareClass:
+    @PROPERTY
+    @given(class_pairs())
+    def test_keys_agree_exactly_when_the_ratio_is_a_square(self, pair):
+        x, y = pair
+        for v in symbol_support(x, y):
+            if v.is_dyadic and not v.field.is_rational:
+                continue
+            same = local_square_class(x, v) == local_square_class(y, v)
+            assert same == oracles.is_local_square_by_kind(x / y, v), (str(x), str(y), str(v))
+
+    def test_key_values(self):
+        v2 = Place.finite(QQ, 2)
+        assert local_square_class(QQ.element(-24), v2) == (1, 5)
+        assert local_square_class(QQ.element(Fraction(7, 4)), v2) == (0, 7)
+        assert local_square_class(QQ.element(-5), QQ.real_places()[0]) == (0, -1)
+        k = Field(5)
+        assert local_square_class(k.element(1, -1), k.real_places()[1]) == (0, 1)
+        assert local_square_class(k.element(0, 3), Place.finite(k, 5)) == (1, -1)
+        assert local_square_class(k.element(3), Place.finite(k, 3)) == (1, 1)
+
+    def test_split_unit_divides_by_the_denominator(self):
+        """1/2 and 2 differ by the square 4, and 2 is not a square mod 11,
+        so neither is a square at either place over 11 in Q(sqrt 5)."""
+        k = Field(5)
+        for w in places_above(k, 11):
+            assert local_square_class(k.element(Fraction(1, 2)), w) == (0, -1)
+            assert local_square_class(k.element(2), w) == (0, -1)
+            assert not is_local_square(k.element(Fraction(1, 2)), w)
+
+    def test_dyadic_places_of_quadratic_fields_have_no_key(self):
+        for d in (5, 3, 6):
+            with pytest.raises(PlaceKindError):
+                local_square_class(Field(d).element(3), Place.finite(Field(d), 2))
+        k = Field(17)
+        with pytest.raises(UnsupportedDyadicPlaceError):
+            local_square_class(k.element(3), places_above(k, 2)[0])
+
+    def test_arguments_checked(self):
+        with pytest.raises(ValueError):
+            local_square_class(QQ.zero, Place.finite(QQ, 3))
+        with pytest.raises(FieldMismatchError):
+            local_square_class(QQ.element(3), Place.finite(Field(5), 3))
 
 
 class TestGlobalSquares:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from quathyp.errors import FieldMismatchError, UnsupportedDyadicPlaceError
@@ -38,6 +38,7 @@ from oracles import (
     qp_is_square,
     qp_ternary_isotropic_fast,
 )
+from test_symbols import PROPERTY, PROPERTY_FIELDS
 
 RNG = random.Random(2203)
 
@@ -47,12 +48,6 @@ COEFF_POOL = [-15, -11, -10, -7, -6, -5, -3, -2, -1, 1, 2, 3, 5, 6, 7, 10, 14]
 def random_form(dim):
     return diagonal_form(QQ, *(RNG.choice(COEFF_POOL) for _ in range(dim)))
 
-
-#: Q, 2 inert (Q(sqrt5), Q(sqrt13)) and 2 ramified (Q(sqrt3), Q(sqrt6),
-#: Q(sqrt7), Q(sqrt2)): every field with a single dyadic place
-PROPERTY_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(13), Field(7), Field(2)]
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 @st.composite

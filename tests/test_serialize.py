@@ -7,7 +7,7 @@ import pytest
 from quathyp.algebras import quaternion_algebra
 from quathyp.commensurability import AdmissibleTriple, OrbifoldClassDescriptor, canonical_hermitian
 from quathyp.errors import DescriptorError, NotQuaternionicHyperbolicError
-from quathyp.fields import QQ, Field, places_above
+from quathyp.fields import QQ, Field, Place, places_above
 from quathyp.hermitian import hermitian_form
 from quathyp.quadratic import diagonal_form
 from quathyp.serialize import (
@@ -95,6 +95,16 @@ class TestElements:
                 parse_element(value, Field(5))
             assert info.value.pointer == ptr
             assert "257-bit" in str(info.value)
+
+    def test_bit_size_cap_on_field_and_place(self):
+        prime = 2**256 - 189  # the largest prime below 2^256
+        assert parse_place(str(prime), QQ, "/place") == Place.finite(QQ, prime)
+        with pytest.raises(DescriptorError, match="257-bit prime exceeds 256 bits") as info:
+            parse_place(str(2**256 + 1), QQ, "/place")
+        assert info.value.pointer == "/place"
+        with pytest.raises(DescriptorError, match="257-bit d exceeds 256 bits") as info:
+            parse_field({"base": "quadratic", "d": 2**256 + 1}, "/field")
+        assert info.value.pointer == "/field/d"
 
 
 class TestAlgebrasAndForms:

@@ -4,12 +4,37 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quathyp.errors import FieldMismatchError, UnsupportedDyadicPlaceError
 from quathyp.fields import QQ, Field, Place, places_above
-from quathyp.symbols import hilbert_symbol, product_formula_check, symbol_support
+from quathyp.symbols import by_reciprocity, hilbert_symbol, product_formula_check, symbol_support
 
 import oracles
+
+#: Q, 2 inert (Q(sqrt5), Q(sqrt13)) and 2 ramified (Q(sqrt3), Q(sqrt6),
+#: Q(sqrt7), Q(sqrt2)): every field with a single dyadic place
+PROPERTY_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(13), Field(7), Field(2)]
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def elements(draw, field):
+    """Small elements whose norms and denominators reach split, inert and
+    ramified primes of every property field."""
+    den = st.sampled_from([1, 1, 1, 2, 3, 5, 7, 11])
+    a0 = Fraction(draw(st.integers(-40, 40)), draw(den))
+    a1 = 0 if field.is_rational else Fraction(draw(st.integers(-12, 12)), draw(den))
+    x = field.element(a0, a1)
+    return x if x else field.one
+
+
+@st.composite
+def element_pairs(draw):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    return draw(elements(field)), draw(elements(field))
 
 
 def random_rational(rng, bound=60):
@@ -145,6 +170,21 @@ class TestInertSymbolOracle:
                 assert hilbert_symbol(a, b, w) == expected, (str(a), str(b), p)
 
 
+class TestSymbolByKind:
+    @PROPERTY
+    @given(element_pairs())
+    def test_matches_the_kernel_per_kind_of_place(self, pair):
+        """The symbol read off two square-class keys equals the real, tame
+        and dyadic kernels at every support place but the lone dyadic
+        place of a quadratic field."""
+        a, b = pair
+        for v in symbol_support(a, b):
+            if v.is_dyadic and not v.field.is_rational:
+                continue
+            assert hilbert_symbol(a, b, v) == oracles.hilbert_symbol_by_kind(a, b, v), (
+                str(a), str(b), str(v))
+
+
 class TestSupport:
     def test_superset_guarantee(self):
         """Places outside the computed support must carry symbol +1; we
@@ -243,3 +283,16 @@ class TestDyadicQuadraticConsistency:
         w = places_above(k, 2)[0]
         with pytest.raises(UnsupportedDyadicPlaceError):
             hilbert_symbol(k.element(3), k.element(5), w)
+
+    def test_by_reciprocity_is_the_product_of_the_other_places(self):
+        k = Field(5)
+        support = symbol_support(k.element(3, 1), k.element(-7))
+        w2 = places_above(k, 2)[0]
+        seen = []
+        values = {v: (-1 if v.is_real else 1) for v in support}
+        got = by_reciprocity(w2, support, lambda v: seen.append(v) or values[v])
+        assert seen == [v for v in support if v != w2]
+        assert got == (-1) ** len(k.real_places())
+        split = symbol_support(Field(17).element(3), Field(17).element(5))
+        with pytest.raises(UnsupportedDyadicPlaceError, match="2 splits"):
+            by_reciprocity(split[2], split, lambda v: pytest.fail("evaluated a place"))
