@@ -21,7 +21,6 @@ from .errors import (
     SignaturePreconditionError,
     SquareArgumentError,
     SubfieldEmbeddingError,
-    UnsupportedDyadicPlaceError,
     UnsupportedRankError,
 )
 from .fields import (

@@ -13,15 +13,6 @@ class AlgebraMismatchError(QuathypError):
     """Operands are defined over incompatible quaternion algebras."""
 
 
-class UnsupportedDyadicPlaceError(QuathypError):
-    """Raised for dyadic computations over a field where 2 splits.
-
-    Fields Q(sqrt(d)) with d = 1 mod 8 have two places over 2, and the
-    library's product-formula fallback (which needs a *single* unknown
-    dyadic symbol) does not apply there.
-    """
-
-
 class SquareArgumentError(QuathypError):
     """An argument required to be a nonsquare is a square in the field."""
 

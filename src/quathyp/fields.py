@@ -9,16 +9,15 @@ The module provides the base-field layer everything else sits on:
   field, tagged by how the rational prime below them splits);
 * local predicates: exact signs at real embeddings, valuations, and
   local/global square tests.  `local_square_class` is the one square-class
-  decision: (valuation mod 2, unit class) of an element at a real place,
-  an odd place or the dyadic place of Q.  Hilbert symbols and Hasse
-  invariants are read off these keys (:mod:`quathyp.symbols`,
-  :mod:`quathyp.quadratic`).
+  decision: (valuation mod 2, unit class) of an element at any place of
+  any field.  Local squares, Hilbert symbols and Hasse invariants are read
+  off these keys (:mod:`quathyp.symbols`, :mod:`quathyp.quadratic`).
 
-Dyadic completions of a quadratic field are supported when 2 is inert
-(d = 5 mod 8) or ramified (d even or d = 3 mod 4).  When 2 splits
-(d = 1 mod 8) the two dyadic completions are wild and unsupported;
-operations that would need them raise
-:class:`~quathyp.errors.UnsupportedDyadicPlaceError`.
+At a dyadic place the unit class is the unit mod 8: over Q, and over
+Q(sqrt(d)) when 2 splits (d = 1 mod 8: both completions are Q_2, sqrt(d)
+going to the 2-adic root that is 1 mod 4 or to its negative).  When 2 is
+inert or ramified the unit's coordinates mod 8 in a 2-integral basis fix
+its class, and the 8 unit classes are labeled once per field.
 """
 
 from __future__ import annotations
@@ -26,11 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from typing import Union
 
-from .errors import FieldMismatchError, PlaceKindError, UnsupportedDyadicPlaceError
+from .errors import FieldMismatchError, PlaceKindError
 from .numtheory import (
     factor,
+    factors_without_splitting,
     is_prime,
     is_square_fraction,
     legendre,
@@ -401,13 +403,6 @@ def real_signature(coeffs, v: Place) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_dyadic_supported(v: Place):
-    if v.is_dyadic and v.position in (SPLIT_FIRST, SPLIT_SECOND):
-        raise UnsupportedDyadicPlaceError(
-            f"2 splits in {v.field}; its dyadic completions are unsupported"
-        )
-
-
 def _integer_coords(x: FieldElement) -> tuple[int, int, int]:
     """(A0, A1, L) with x = (A0 + A1*sqrt(d)) / L, L the least common
     denominator of the coordinates."""
@@ -421,26 +416,28 @@ def _char(n: int, p: int) -> int:
 
 
 def _split_image(x: FieldElement, v: Place) -> tuple[int, int]:
-    """Valuation and unit part (mod p) of x in the completion at a split
-    place.
+    """Valuation and unit part of x in the completion at a split place,
+    the unit mod p (mod 8 when p = 2).
 
-    The completion is Q_p; sqrt(d) goes to the canonically labeled root
-    (split-first: the Hensel lift of the smaller square root of d mod p,
-    split-second: its negative).
+    The completion is Q_p; sqrt(d) goes to the labeled root of
+    `sqrt_mod_prime_power` (split-first: the lift of the smaller square
+    root of d mod p, or the 2-adic root that is 1 mod 4; split-second:
+    its negative).
     """
     p = v.p
+    digits = 3 if p == 2 else 1
     A0, A1, lcm = _integer_coords(x)
     # The valuation of A0 + A1*r is at most v_p of the integer norm
     # A0^2 - A1^2 d, because the conjugate image is also a p-adic integer.
     nrm = A0 * A0 - A1 * A1 * x.field.d
-    m = val(nrm, p) + 1
+    m = val(nrm, p) + digits
     r = sqrt_mod_prime_power(x.field.d, p, m)
     if v.position == SPLIT_SECOND:
         r = p**m - r
     t = (A0 + A1 * r) % p**m
     vt, e = val(t, p), val(lcm, p)
     # the image is t / lcm: its unit part divides by lcm's as well
-    return vt - e, t // p**vt * pow(lcm // p**e, -1, p) % p
+    return vt - e, t // p**vt * pow(lcm // p**e, -1, p**digits) % p**digits
 
 
 def local_valuation(x: FieldElement, v: Place) -> int:
@@ -448,7 +445,6 @@ def local_valuation(x: FieldElement, v: Place) -> int:
     _require_nonzero(x)
     if not v.is_finite:
         raise PlaceKindError(f"{v} is not a finite place")
-    _check_dyadic_supported(v)
     return _valuation(x, v)
 
 
@@ -459,41 +455,35 @@ def _valuation(x: FieldElement, v: Place) -> int:
         return val_fraction(x.a0, p)
     if v.position in (SPLIT_FIRST, SPLIT_SECOND):
         return _split_image(x, v)[0]
-    if v.position == INERT:
-        if p == 2:
-            c0, c1 = _omega_coords(x)
-            return min(val_fraction(c, 2) for c in (c0, c1) if c != 0)
-        vals = [val_fraction(c, p) for c in (x.a0, x.a1) if c != 0]
-        return min(vals)
-    # ramified: v(x) = v_p(norm(x)); sqrt(d) (or 1+sqrt(d) at 2) has
-    # valuation 1 and p valuation 2 (odd p: valuation 2 of p means e = 2)
-    return val_fraction(x.norm(), p)
+    # inert or ramified: v_p(norm(x)) = f v(x), residue degree f = 2 or 1;
+    # the norm is (A0^2 - A1^2 d) / L^2
+    A0, A1, L = _integer_coords(x)
+    return (val(A0 * A0 - A1 * A1 * x.field.d, p) - 2 * val(L, p)) // (2 if v.position == INERT else 1)
 
 
 def local_square_class(x: FieldElement, v: Place) -> tuple[int, int]:
     """The square class of x at v as (valuation mod 2, unit class).
 
     Two elements share the key exactly when their ratio is a square in
-    the completion at v.  The unit class is the sign at a real place
-    (where the valuation is taken as 0), the quadratic character of the
-    unit part in the residue field at an odd place, and the unit part mod
-    8 at the dyadic place of Q.  The dyadic place of Q(sqrt(d)) has no
-    such key: 2 split raises UnsupportedDyadicPlaceError, 2 inert or
-    ramified PlaceKindError.
+    the completion at v, and the squares have the key (0, 1).  The unit
+    class is the sign at a real place (where the valuation is taken as
+    0), the quadratic character of the unit part in the residue field at
+    an odd place, and the unit part mod 8 at a dyadic place with
+    completion Q_2.  When 2 is inert or ramified it is the label that
+    `_dyadic_unit_classes` gives the unit's residue mod 8.
     """
     _require_nonzero(x)
     if v.is_real:
         return 0, sign_at_real_place(x, v)
     _require_same_field(x, v)
     p = v.p
-    if p == 2:
-        _check_dyadic_supported(v)
-        if v.position != RATIONAL:
-            raise PlaceKindError(f"the dyadic place of {v.field} has no square-class key")
-        return val_fraction(x.a0, 2) % 2, unit_mod(x.a0, 2, 8)
     if v.position in (SPLIT_FIRST, SPLIT_SECOND):
         n, u = _split_image(x, v)
-        return n % 2, legendre(u, p)
+        return n % 2, u if p == 2 else legendre(u, p)
+    if p == 2:
+        if v.position == RATIONAL:
+            return val_fraction(x.a0, 2) % 2, unit_mod(x.a0, 2, 8)
+        return _dyadic_key(x, v)
     n = _valuation(x, v)
     if v.position == RATIONAL:
         # num/den and num*den differ by the square den^2
@@ -510,81 +500,88 @@ def local_square_class(x: FieldElement, v: Place) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Square classes at the dyadic place when 2 is inert or ramified
+# ---------------------------------------------------------------------------
+
+
+def _dyadic_basis(d: int) -> tuple[int, int]:
+    """(s, r) with theta^2 = s + r*theta for the 2-integral basis
+    {1, theta}: theta = omega = (1+sqrt(d))/2 when 2 is inert (d = 5 mod
+    8), theta = sqrt(d) when 2 ramifies."""
+    return ((d - 1) // 4, 1) if d % 8 == 5 else (d, 0)
+
+
+def _mul8(x: tuple[int, int], y: tuple[int, int], d: int) -> tuple[int, int]:
+    """The product mod 8 of two elements in the basis of `_dyadic_basis`."""
+    (a, b), (c, e), (s, r) = x, y, _dyadic_basis(d)
+    return (a * c + b * e * s) % 8, (a * e + b * c + b * e * r) % 8
+
+
+@lru_cache(maxsize=64)
+def _dyadic_unit_classes(d: int) -> dict[tuple[int, int], int]:
+    """Unit residues mod 8 in the basis of `_dyadic_basis` -> the least
+    code a + 8b over their square class, so the squares get 1.
+
+    By the local square theorem a unit is a square exactly when it is a
+    square mod 4*pi, and 8 lies in 4*pi, so the residue mod 8 fixes the
+    class.  The residues of squares form a subgroup of index 8: 8 unit
+    classes, 16 classes in all.
+    """
+    s, r = _dyadic_basis(d)
+    units = [(a, b) for a in range(8) for b in range(8) if (a * a + r * a * b - s * b * b) % 2]
+    squares = {_mul8(y, y, d) for y in units}
+    return {u: min(a + 8 * b for a, b in (_mul8(u, h, d) for h in squares)) for u in units}
+
+
+def _dyadic_key(x: FieldElement, v: Place) -> tuple[int, int]:
+    """`local_square_class` at the dyadic place of Q(sqrt(d)) when 2 is
+    inert (uniformizer 2) or ramified (uniformizer pi = c + sqrt(d),
+    c = d mod 2, with 2 = pi^2 eta and N(pi) = 2 nu for units eta, nu)."""
+    d = x.field.d
+    A0, A1, L = _integer_coords(x)
+    # x and the integral z = (A0 + A1 sqrt(d)) L differ by the square L^2
+    a, b = A0 * L, A1 * L
+    if v.position == INERT:
+        a, b = a - b, 2 * b  # coordinates in {1, omega}
+    k = min(val(t, 2) for t in (a, b) if t)
+    a, b = a >> k, b >> k  # z = 2^k (a + b theta), the second factor of valuation 0 or 1
+    if v.position == INERT:
+        return k % 2, _dyadic_unit_classes(d)[a % 8, b % 8]
+    c = d % 2
+    odd = (a - d * b) % 2 == 0  # a + b sqrt(d) has even norm: valuation 1
+    if odd:
+        # divide by pi: (a + b sqrt(d)) pibar / 2 times nu = (c - d)/2
+        nu = (c - d) // 2
+        a, b = (a * c - b * d) // 2 * nu, (b * c - a) // 2 * nu
+    u = (a % 8, b % 8)
+    if k % 2:
+        u = _mul8(u, ((c + d) // 2, c), d)  # 2^k = pi^(2k) eta^k: times eta
+    return int(odd), _dyadic_unit_classes(d)[u]
+
+
+@lru_cache(maxsize=256)
+def dyadic_class_element(field: Field, key: tuple[int, int]) -> FieldElement:
+    """An element with `local_square_class` key at the dyadic place (2
+    inert or ramified): x0 + 16t, x0 the unit a + b*theta of code a + 8b
+    (times the uniformizer when the valuation is odd), for the first t >= 0
+    whose norm factors without a Pollard-Brent split.  16/x0 lies in 4*pi,
+    so x0 + 16t = x0 (1 + 16t/x0) lies in x0's class."""
+    n, code = key
+    a, b = code % 8, code // 8
+    if field.d % 8 == 5:
+        x0 = field.element(a + Fraction(b, 2), Fraction(b, 2)) * (2 if n else 1)
+    else:
+        x0 = field.element(a, b) * (field.element(field.d % 2, 1) if n else 1)
+    return next(x for t in count() if factors_without_splitting((x := x0 + 16 * t).norm().numerator))
+
+
+# ---------------------------------------------------------------------------
 # Local and global square tests
 # ---------------------------------------------------------------------------
 
 
-def _omega_coords(x: FieldElement) -> tuple[Fraction, Fraction]:
-    """Coordinates of x in the basis {1, omega}, omega = (1+sqrt(d))/2.
-
-    Used at the inert dyadic place (d = 5 mod 8), where Z[sqrt(d)] is not
-    2-maximal but Z[omega] is: omega is integral with omega^2 = omega + e,
-    e = (d-1)/4.
-    """
-    return x.a0 - x.a1, 2 * x.a1
-
-
-def _frac_mod(c: Fraction, modulus: int) -> int:
-    """c mod modulus for a fraction whose denominator is coprime to it."""
-    return c.numerator * pow(c.denominator, -1, modulus) % modulus
-
-
-def _is_square_dyadic_inert(x: FieldElement) -> bool:
-    d = x.field.d
-    c0, c1 = _omega_coords(x)
-    n = min(val_fraction(c, 2) for c in (c0, c1) if c != 0)
-    u0, u1 = c0 / 2**n, c1 / 2**n
-    if n % 2:
-        return False
-    # Unit test by exhaustion mod 8: Hensel's lemma for Y^2 - u over the
-    # unramified dyadic quadratic field applies once a trial square agrees
-    # with u to valuation 2*v(2)+1 = 3, i.e. mod 8 in both omega
-    # coordinates; conversely an exact root reduces to such a trial value.
-    e = (d - 1) // 4 % 8
-    t0, t1 = _frac_mod(u0, 8), _frac_mod(u1, 8)
-    for y0 in range(8):
-        for y1 in range(8):
-            if (y0 * y0 + e * y1 * y1) % 8 == t0 and (2 * y0 * y1 + y1 * y1) % 8 == t1:
-                return True
-    return False
-
-
-def _is_square_dyadic_ramified(x: FieldElement) -> bool:
-    field = x.field
-    d = field.d
-    pi = field.sqrt_d if d % 2 == 0 else field.element(1, 1)
-    n = val_fraction(x.norm(), 2)  # valuation of x: e = 2 here
-    if n % 2:
-        return False
-    u = x / pi**n
-    # Exhaust candidate roots with integer coordinates mod 8.  Hensel needs
-    # agreement to valuation 2*v(2)+1 = 5; an exact integral root z has
-    # coordinates in Z_2, and any mod-8 representative y of z satisfies
-    # v(y^2 - z^2) >= v(8) = 6 >= 5, so the 64 candidates are exhaustive.
-    for y0 in range(8):
-        for y1 in range(8):
-            e = field.element(y0, y1) ** 2 - u
-            if not e:
-                return True
-            if val_fraction(e.norm(), 2) >= 5:
-                return True
-    return False
-
-
 def is_local_square(x: FieldElement, v: Place) -> bool:
-    """Whether x is a square in the completion of its field at v.
-
-    Everywhere but the single dyadic place of a quadratic field this is
-    `local_square_class(x, v) == (0, 1)`.  That place (2 inert or
-    ramified) takes even valuation and a Hensel-certified unit square;
-    2 split raises UnsupportedDyadicPlaceError.
-    """
-    _require_nonzero(x)
-    _require_same_field(x, v)
-    if v.is_dyadic and v.position == INERT:
-        return _is_square_dyadic_inert(x)
-    if v.is_dyadic and v.position == RAMIFIED:
-        return _is_square_dyadic_ramified(x)
+    """Whether x is a square in the completion of its field at v."""
     return local_square_class(x, v) == (0, 1)
 
 

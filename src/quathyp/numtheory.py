@@ -5,7 +5,7 @@ classical ones: deterministic Miller-Rabin below 3.3 * 10**24 and the
 Baillie-PSW test (Miller-Rabin plus a strong Lucas test) above it,
 Pollard's rho with Brent's cycle search for splitting, Tonelli-Shanks for
 square roots modulo an odd prime, and Hensel lifting for roots modulo
-prime powers.
+prime powers (2-adic Newton steps for p = 2).
 
 Factoring is the one expensive primitive.  Its results are kept in a bounded
 cache, so an integer that several layers ask about is factored once, and
@@ -198,6 +198,16 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(out.items()))
 
 
+def factors_without_splitting(n: int) -> bool:
+    """Whether `factor(n)` needs no Pollard-Brent split: |n| is a product
+    of primes below 50 and at most one larger prime."""
+    n = abs(n)
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+    return n == 1 or is_prime(n)
+
+
 def squarefree_part(n: int) -> int:
     """The squarefree integer s with n = s * t**2 (sign preserved)."""
     if n == 0:
@@ -293,12 +303,22 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 
 @lru_cache(maxsize=1024)
 def sqrt_mod_prime_power(a: int, p: int, k: int) -> int:
-    """The Hensel lift to mod p**k of the smaller root of x^2 = a mod p.
+    """A square root of a modulo p**k, labeled deterministically.
 
-    p odd, a a unit residue mod p.  Of the two roots r, p - r mod p the
-    lift of min(r, p - r) is returned, giving a deterministic labeling of
-    the two square roots (and hence of the two places over a split prime).
+    p odd, a a unit residue mod p: the Hensel lift of the smaller root
+    min(r, p - r) mod p.  p = 2, a = 1 mod 8: the 2-adic square root that
+    is 1 mod 4, reduced mod 2**k.  The label fixes which root is which
+    (and hence which of the two places over a split prime is which).
     """
+    if p == 2:
+        if a % 8 != 1:
+            raise ValueError(f"{a} is not 1 mod 8")
+        # r^2 = a mod 2^j pins r mod 2^(j-1); a Newton step takes j to 2j - 2
+        r, j = 1, 3
+        while j <= k:
+            j = 2 * j - 2
+            r = (r - (r * r - a) // 2 * pow(r, -1, 1 << j)) % (1 << (j - 1))
+        return r % (1 << k)
     r = sqrt_mod_prime(a % p, p)
     r = min(r, p - r)
     mod = p

@@ -8,10 +8,10 @@ local-global comparison, and decides isotropy locally and globally.
 A Hilbert symbol depends only on the local square classes of its
 arguments, so the Hasse invariant counts the coefficients' keys
 (:func:`~quathyp.fields.local_square_class`) and evaluates
-:func:`~quathyp.symbols.class_symbol` once per pair of classes: at most
-36 per place.  At the single dyadic place of Q(sqrt(d)) it follows from
-the other places by Hilbert reciprocity (`symbols.by_reciprocity`;
-Serre, *A Course in Arithmetic*, Ch. III-IV).
+:func:`~quathyp.symbols.class_symbol` once per pair of classes, at every
+place alike (a place has at most 16 classes, so at most 136 pairs).
+Hilbert reciprocity lets `forms_isometric` skip one dyadic place (Serre,
+*A Course in Arithmetic*, Ch. III-IV).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .fields import (
     real_signature,
 )
 from .numtheory import squarefree_part
-from .symbols import by_reciprocity, class_symbol, hilbert_symbol, symbol_support
+from .symbols import class_symbol, hilbert_symbol, symbol_support
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,14 @@ def signature_at(q: QuadraticForm, v: Place) -> tuple[int, int]:
     return real_signature(q.coeffs, v)
 
 
-def _hasse_by_classes(q: QuadraticForm, v: Place) -> int:
-    """The pairwise product at v, one symbol per pair of square classes:
-    a class with n_c members gives its own symbol n_c(n_c-1)/2 times, and
-    two classes give theirs n_c n_c' times."""
+def hasse_invariant(q: QuadraticForm, v: Place) -> int:
+    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j.
+
+    One symbol per pair of square classes: a class with n_c members gives
+    its own symbol n_c(n_c-1)/2 times, and two classes give theirs
+    n_c n_c' times.  A place of another field raises FieldMismatchError
+    (from `local_square_class`).
+    """
     counts = list(Counter(local_square_class(c, v) for c in q.coeffs).items())
     out = 1
     for i, (ka, na) in enumerate(counts):
@@ -138,23 +142,6 @@ def _hasse_by_classes(q: QuadraticForm, v: Place) -> int:
             if na * nb % 2:
                 out *= class_symbol(ka, kb, v)
     return out
-
-
-def hasse_invariant(q: QuadraticForm, v: Place) -> int:
-    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j.
-
-    At the single dyadic place of Q(sqrt(d)) it is the product of the
-    invariants at the other places of `form_support(q)`, by reciprocity.
-    A unary form gives +1 everywhere; otherwise a dyadic place of a field
-    in which 2 splits raises UnsupportedDyadicPlaceError.
-    """
-    if q.field != v.field:
-        raise FieldMismatchError("form and place belong to different fields")
-    if q.dim == 1:
-        return 1
-    if v.is_dyadic and not v.field.is_rational:
-        return by_reciprocity(v, form_support(q), lambda w: _hasse_by_classes(q, w))
-    return _hasse_by_classes(q, v)
 
 
 def local_invariants(q: QuadraticForm, v: Place) -> LocalQuadInvariants:
@@ -179,11 +166,11 @@ def forms_isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     Equal dimension, determinants in one square class, equal signatures
     at the real places, and equal Hasse invariants everywhere; outside
     the joint support both Hasse invariants are +1, so only the support
-    places are compared.  When the support has a single dyadic place,
-    that place is skipped: equal signatures give equal invariants at the
-    real places, and the invariants of each form multiply to +1 over all
-    places, so agreement everywhere else forces agreement there.  When 2
-    splits both dyadic places are compared (and raise).
+    places are compared.  One dyadic place (the first, when 2 splits) is
+    never compared, by a theorem: equal signatures give equal invariants
+    at the real places, and the invariants of each form multiply to +1
+    over all places (Hilbert reciprocity), so agreement at every other
+    place forces agreement there.
     """
     if q1.field != q2.field:
         raise FieldMismatchError("cannot compare forms over different fields")
@@ -192,9 +179,7 @@ def forms_isometric(q1: QuadraticForm, q2: QuadraticForm) -> bool:
     if not same_square_class(q1.det(), q2.det()):
         return False
     places = sorted(set(form_support(q1)) | set(form_support(q2)), key=Place.sort_key)
-    dyadic = [v for v in places if v.is_dyadic]
-    if len(dyadic) == 1:
-        places.remove(dyadic[0])
+    places.remove(next(v for v in places if v.is_dyadic))
     for v in places:
         if v.is_real:
             if signature_at(q1, v) != signature_at(q2, v):

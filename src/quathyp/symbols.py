@@ -3,22 +3,30 @@
 The symbol is +1 when z^2 = a x^2 + b y^2 has a nontrivial solution over
 the completion at v and -1 otherwise.  It depends only on the square
 classes of a and b at v, so `class_symbol` evaluates it from the two keys
-of :func:`~quathyp.fields.local_square_class`: signs at real places, the
-tame formula at odd places, the classical exponent formula at the dyadic
-place of Q.  For a quadratic field with a *single* place over 2 (2 inert
-or ramified) the dyadic symbol is recovered exactly from the product
-formula over all other places of the support (`by_reciprocity`); when 2
-splits the dyadic symbols are unsupported.
+of :func:`~quathyp.fields.local_square_class`, at every place: signs at
+real places, the tame formula at odd places, the classical exponent
+formula at a dyadic place with completion Q_2 (over Q, and over
+Q(sqrt(d)) when 2 splits).  When 2 is inert or ramified in Q(sqrt(d)) the
+16 x 16 table of dyadic symbols is filled on demand, one entry per pair
+of classes, by Hilbert reciprocity over two fixed representatives of the
+classes (Serre, *A Course in Arithmetic*, Ch. III).  Every symbol of
+given elements is then read off their own keys, so the product formula
+is a real check of those keys.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-from .errors import FieldMismatchError, UnsupportedDyadicPlaceError
+from .errors import FieldMismatchError
 from .fields import (
+    INERT,
+    RAMIFIED,
+    Field,
     FieldElement,
     Place,
+    dyadic_class_element,
     element_support_primes,
     local_square_class,
     places_above,
@@ -42,9 +50,10 @@ def class_symbol(ka: tuple[int, int], kb: tuple[int, int], v: Place) -> int:
 
     At an odd place, with valuations alpha, beta and chi the residue
     character of the unit parts, (a,b)_v = chi(-1)^(alpha beta)
-    chi(a)^beta chi(b)^alpha.  At the dyadic place of Q the exponent is
-    eps(a) eps(b) + alpha omega(b) + beta omega(a) in the units mod 8.  At
-    a real place the symbol is -1 exactly when both signs are negative.
+    chi(a)^beta chi(b)^alpha.  At a dyadic place with completion Q_2 the
+    exponent is eps(a) eps(b) + alpha omega(b) + beta omega(a) in the
+    units mod 8; the other dyadic places read `_dyadic_symbol`.  At a real
+    place the symbol is -1 exactly when both signs are negative.
     """
     (alpha, ua), (beta, ub) = ka, kb
     if v.is_real:
@@ -56,22 +65,25 @@ def class_symbol(ka: tuple[int, int], kb: tuple[int, int], v: Place) -> int:
         if alpha:
             sym *= ub
         return sym
+    if v.position in (INERT, RAMIFIED):
+        return _dyadic_symbol(v.field.d, ka, kb)
     exponent = _epsilon(ua) * _epsilon(ub) + alpha * _omega(ub) + beta * _omega(ua)
     return -1 if exponent % 2 else 1
 
 
-def by_reciprocity(v: Place, support, local) -> int:
-    """The factor at v that makes the product of `local` over `support`
-    +1: the product of local(w) over its other places (Hilbert
-    reciprocity).  Used at the single dyadic place of Q(sqrt(d)); a
-    second dyadic place in the support (2 splits) raises
-    UnsupportedDyadicPlaceError."""
-    others = [w for w in support if w != v]
-    if any(w.is_dyadic for w in others):
-        raise UnsupportedDyadicPlaceError(
-            f"2 splits in {v.field}; dyadic symbols are unsupported"
-        )
-    return math.prod(local(w) for w in others)
+@lru_cache(maxsize=4096)
+def _dyadic_symbol(d: int, ka: tuple[int, int], kb: tuple[int, int]) -> int:
+    """The symbol of the classes ka, kb at the one dyadic place of
+    Q(sqrt(d)) (2 inert or ramified): the product of the symbols of their
+    representatives `dyadic_class_element` at every other place of the
+    representatives' support (Hilbert reciprocity)."""
+    field = Field(d)
+    a, b = dyadic_class_element(field, ka), dyadic_class_element(field, kb)
+    return math.prod(
+        class_symbol(local_square_class(a, w), local_square_class(b, w), w)
+        for w in symbol_support(a, b)
+        if not w.is_dyadic
+    )
 
 
 def hilbert_symbol(a: FieldElement, b: FieldElement, v: Place) -> int:
@@ -80,8 +92,6 @@ def hilbert_symbol(a: FieldElement, b: FieldElement, v: Place) -> int:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     if a.field != b.field or a.field != v.field:
         raise FieldMismatchError("symbol arguments and place must share one field")
-    if v.is_dyadic and not v.field.is_rational:
-        return by_reciprocity(v, symbol_support(a, b), lambda w: hilbert_symbol(a, b, w))
     return class_symbol(local_square_class(a, v), local_square_class(b, v), v)
 
 
@@ -116,12 +126,10 @@ def symbol_support(*elements: FieldElement) -> tuple[Place, ...]:
 def product_formula_check(a: FieldElement, b: FieldElement) -> bool:
     """Whether the product of (a,b)_v over the support is +1.
 
-    Over Q every factor is computed from its own pair of square-class
-    keys, so this genuinely checks reciprocity.  Over a quadratic field
-    the lone dyadic factor is `by_reciprocity` of the others, so the
-    product is +1 by construction there (the nontrivial content lives in
-    the other factors; see the test suite's direct dyadic square
-    cross-checks).
+    Every factor, the dyadic ones included, is computed from a's and b's
+    own square-class keys at that place, so a wrong key shows up here as
+    a failed check.  (The dyadic table entries come from reciprocity
+    over fixed class representatives, never from a and b.)
     """
     prod = 1
     for v in symbol_support(a, b):

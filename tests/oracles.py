@@ -5,10 +5,13 @@ and isotropy in p-adic fields are decided by brute-force enumeration of
 residues with explicit lifting-precision bounds, quadratic residue
 characters over F_p^2 are computed by exponentiation in a polynomial
 model of the field, and sympy supplies an unrelated implementation of
-Legendre symbols, modular square roots and factoring.  Hilbert symbols
-are evaluated by one kernel per kind of place (sign, tame formula,
-dyadic exponent formula) from valuations and residue characters
-computed here, not from the library's square-class keys.  Hasse invariants
+Legendre symbols, modular square roots (2-adic ones included) and
+factoring.  Hilbert symbols are evaluated by one kernel per kind of place
+(sign, tame formula, dyadic exponent formula on Q_2 images) from
+valuations and residue characters computed here, not from the library's
+square-class keys; at the lone dyadic place of Q(sqrt(d)) the symbol is
+the product of the kernels at the other places (Hilbert reciprocity).
+Hasse invariants
 are products of one Hilbert symbol per coefficient pair, and isometry
 compares them at every place, the dyadic ones included.  For the numeric
 sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
@@ -28,9 +31,9 @@ import numpy as np
 import sympy
 
 import quathyp.geometry as geo
-from quathyp.fields import SPLIT_FIRST, SPLIT_SECOND, Place
+from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place
 from quathyp.quadratic import form_support, same_square_class, signature_at
-from quathyp.symbols import hilbert_symbol
+from quathyp.symbols import hilbert_symbol, symbol_support
 
 # ---------------------------------------------------------------------------
 # p-adic squares over Q by enumeration
@@ -196,24 +199,31 @@ def split_prime_kind(p: int, d: int) -> str:
 def split_images(a0: Fraction, a1: Fraction, d: int, p: int, digits: int):
     """The two images of a0 + a1 sqrt(d) in Q_p under a split prime,
     as residues mod p^digits paired with the labeling convention that
-    the first image substitutes the smaller lift of sqrt(d) mod p.
+    the first image substitutes the smaller lift of sqrt(d) mod p (for
+    p = 2: the 2-adic root that is 1 mod 4).
 
     Returns [(val, unit mod p^digits or None), ...] for both places;
     None marks precision exhaustion (the scan digits ran out before the
     unit emerged), which callers treat as a skip.
     """
-    roots = sorted(sympy.sqrt_mod(d % p, p, all_roots=True))
+    prec = digits + 40
+    mod = p**prec
+    if p == 2:
+        # mod 2^(prec+1) the roots are +-r and +-r + 2^prec, r the 2-adic root
+        r = next(r for r in sympy.sqrt_mod(d, 2 * mod, all_roots=True) if r % 4 == 1)
+        roots = [r % mod, -r % mod]
+    else:
+        roots = []
+        for r in sorted(sympy.sqrt_mod(d % p, p, all_roots=True)):
+            # Newton lifting of the chosen root of t^2 - d
+            k = 1
+            while k < prec:
+                k = min(2 * k, prec)
+                mk = p**k
+                r = (r - (r * r - d) * pow(2 * r, -1, mk)) % mk
+            roots.append(r)
     out = []
-    for base_root in (roots[0], roots[1]):
-        prec = digits + 40
-        mod = p**prec
-        r = base_root
-        # Newton lifting of the chosen root of t^2 - d
-        k = 1
-        while k < prec:
-            k = min(2 * k, prec)
-            mk = p**k
-            r = (r - (r * r - d) * pow(2 * r, -1, mk)) % mk
+    for r in roots:
         num = a0.numerator * a1.denominator + a1.numerator * a0.denominator * r
         den = a0.denominator * a1.denominator
         v = 0
@@ -287,12 +297,24 @@ def odd_place_unit(x, v) -> tuple[int, int]:
     return n, sympy.legendre_symbol(_residue(lead / Fraction(d) ** (n // 2), p), p)
 
 
+def by_reciprocity(v, support, local) -> int:
+    """The factor at v that makes the product of `local` over `support`
+    +1: the product of local(w) over its other places (Hilbert
+    reciprocity).  Sound only when v is the one place of the support
+    where `local` is unknown."""
+    others = [w for w in support if w != v]
+    assert not any(w.is_dyadic for w in others), "a second dyadic place"
+    return math.prod(local(w) for w in others)
+
+
 def hilbert_symbol_by_kind(a, b, v) -> int:
-    """(a,b)_v at a real place, an odd finite place or the dyadic place
-    of Q, with one kernel per kind of place: both signs negative; the
-    tame formula chi(-1)^(alpha beta) chi(a)^beta chi(b)^alpha; the
-    dyadic exponent eps(a) eps(b) + alpha omega(b) + beta omega(a) in
-    the units mod 8."""
+    """(a,b)_v with one kernel per kind of place: both signs negative at
+    a real place; the tame formula chi(-1)^(alpha beta) chi(a)^beta
+    chi(b)^alpha at an odd place; the dyadic exponent eps(a) eps(b) +
+    alpha omega(b) + beta omega(a) in the units mod 8 of Q_2 at the
+    dyadic place of Q and, through `split_images`, at the two dyadic
+    places of Q(sqrt(d)) when 2 splits.  When 2 is inert or ramified it
+    is `by_reciprocity` of these kernels at the other places."""
     if v.is_real:
         return -1 if real_sign(a, v) < 0 and real_sign(b, v) < 0 else 1
     if v.p != 2:
@@ -306,10 +328,16 @@ def hilbert_symbol_by_kind(a, b, v) -> int:
         if alpha % 2:
             sym *= chi_b
         return sym
-    assert v.field.is_rational, "the dyadic kernel covers Q only"
-    alpha, beta = _vp(a.a0, 2), _vp(b.a0, 2)
-    ua = _residue(a.a0 / Fraction(2) ** alpha, 8)
-    ub = _residue(b.a0 / Fraction(2) ** beta, 8)
+    if v.position in (INERT, RAMIFIED):
+        return by_reciprocity(v, symbol_support(a, b), lambda w: hilbert_symbol_by_kind(a, b, w))
+    if v.field.is_rational:
+        alpha, beta = _vp(a.a0, 2), _vp(b.a0, 2)
+        ua = _residue(a.a0 / Fraction(2) ** alpha, 8)
+        ub = _residue(b.a0 / Fraction(2) ** beta, 8)
+    else:
+        (alpha, ua), (beta, ub) = (
+            split_images(x.a0, x.a1, x.field.d, 2, 3)[_split_index(v)] for x in (a, b)
+        )
     eps = lambda u: (u - 1) // 2 % 2  # noqa: E731
     omega = lambda u: (u * u - 1) // 8 % 2  # noqa: E731
     exponent = eps(ua) * eps(ub) + alpha * omega(ub) + beta * omega(ua)
@@ -317,25 +345,30 @@ def hilbert_symbol_by_kind(a, b, v) -> int:
 
 
 def is_local_square_by_kind(x, v) -> bool:
-    """Square test at a real place, an odd finite place or the dyadic
-    place of Q: a positive sign, `qp_is_square` over Q, the Newton-lifted
-    `split_images` at split places, `fp2_is_square` at inert places, and
-    the digit search `quadratic_local_is_square` at ramified places."""
+    """Square test at any place: a positive sign, `qp_is_square` over Q,
+    the Newton-lifted `split_images` at split places (a unit 1 mod 8 at
+    a dyadic one), `fp2_is_square` at odd inert places, and the digit
+    search `quadratic_local_is_square` at odd ramified places and at the
+    dyadic place when 2 is inert or ramified."""
     if v.is_real:
         return real_sign(x, v) > 0
     if x.field.is_rational:
         return qp_is_square(x.a0, v.p)
     p, d = v.p, x.field.d
-    if v.position in (SPLIT_FIRST, SPLIT_SECOND) or d % p:
+    if p == 2 and v.position in (SPLIT_FIRST, SPLIT_SECOND):
+        n, unit = split_images(x.a0, x.a1, d, 2, 3)[_split_index(v)]
+        assert n is not None, "split image precision exhausted"
+        return n % 2 == 0 and unit == 1
+    if p != 2 and (v.position in (SPLIT_FIRST, SPLIT_SECOND) or d % p):
         n, chi = odd_place_unit(x, v)
         return n % 2 == 0 and chi == 1
-    # ramified: strip square factors p^2 from the integer coordinates so
-    # the digit search stays within its certified valuation range
+    # strip square factors p^2 from the integer coordinates so the digit
+    # search stays within its certified valuation range
     den = x.a0.denominator * x.a1.denominator
     c0, c1 = x.a0 * den * den, x.a1 * den * den
     while c0 % (p * p) == 0 and c1 % (p * p) == 0:
         c0, c1 = c0 / (p * p), c1 / (p * p)
-    return quadratic_local_is_square(Fraction(c0), Fraction(c1), d, p, digits=7)
+    return quadratic_local_is_square(Fraction(c0), Fraction(c1), d, p, digits=16 if p == 2 else 7)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,32 @@ class TestSymbol:
         assert code == 0
 
 
+class TestTwoSplit:
+    """Q(sqrt(17)), where 2 splits: every command answers."""
+
+    field = '{"base": "quadratic", "d": 17}'
+
+    def test_ramification_symbols_and_isometry(self, capsys):
+        code, out, _ = run(
+            capsys, "ramification", "--json", f'{{"field": {self.field}, "a": -1, "b": 3}}'
+        )
+        ramified = json.loads(out)["ramified"]
+        assert code == 0 and ramified == ["2#1", "2#2"]  # an even number of places
+        values = []
+        for place in ("2#1", "2#2"):
+            code, out, _ = run(
+                capsys, "symbol", "--json", "--field", self.field, "--place", place,
+                "--", '{"a0": 0, "a1": 1}', "-1",
+            )
+            assert code == 0
+            values.append(json.loads(out)["symbols"][place])
+        assert values == [1, -1]
+        q1 = f'{{"field": {self.field}, "coeffs": [1, -6]}}'
+        q2 = f'{{"field": {self.field}, "coeffs": [2, -12]}}'
+        code, out, _ = run(capsys, "isometric", q1, q2)
+        assert code == 0 and out == "<1, -6> and <2, -12>: not isometric\n"
+
+
 class TestRamification:
     def test_division_algebra(self, capsys):
         code, out, _ = run(

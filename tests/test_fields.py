@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quathyp.errors import FieldMismatchError, PlaceKindError, UnsupportedDyadicPlaceError
+from quathyp.errors import FieldMismatchError
 from quathyp.fields import (
     QQ,
     Field,
     Place,
     conjugate_place,
+    dyadic_class_element,
     element_support_primes,
     is_global_square,
     is_local_square,
@@ -25,7 +26,7 @@ from quathyp.fields import (
 from quathyp.symbols import symbol_support
 
 import oracles
-from test_symbols import PROPERTY, PROPERTY_FIELDS, elements
+from test_symbols import PROPERTY, PROPERTY_FIELDS, dyadic_keys, elements
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 FIELDS = [Field(d) for d in (2, 3, 5, 6, 7, 10, 13, 21, 29)]
@@ -331,11 +332,22 @@ class TestLocalSquaresQuadratic:
                             continue
                         assert is_local_square(x * x, w), (str(x), str(w))
 
-    def test_split_dyadic_unsupported(self):
-        k = Field(17)
-        w = places_above(k, 2)[0]
-        with pytest.raises(UnsupportedDyadicPlaceError):
-            is_local_square(k.element(3), w)
+    def test_split_dyadic_against_q2_images(self):
+        """2 splits: x is a square at 2#i exactly when its image in Q_2
+        (sympy's 2-adic root of d) has even valuation and unit 1 mod 8."""
+        rng = random.Random(17)
+        for k in (Field(17), Field(33), Field(41)):
+            for _ in range(30):
+                x = k.element(
+                    Fraction(rng.randint(-40, 40), rng.choice([1, 1, 2, 3, 4])),
+                    Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 5])),
+                )
+                if not x:
+                    continue
+                for w in places_above(k, 2):
+                    assert is_local_square(x, w) == oracles.is_local_square_by_kind(x, w), (
+                        str(x), str(w))
+                    assert is_local_square(x * x, w)
 
 
 @st.composite
@@ -360,8 +372,6 @@ class TestLocalSquareClass:
     def test_keys_agree_exactly_when_the_ratio_is_a_square(self, pair):
         x, y = pair
         for v in symbol_support(x, y):
-            if v.is_dyadic and not v.field.is_rational:
-                continue
             same = local_square_class(x, v) == local_square_class(y, v)
             assert same == oracles.is_local_square_by_kind(x / y, v), (str(x), str(y), str(v))
 
@@ -384,13 +394,29 @@ class TestLocalSquareClass:
             assert local_square_class(k.element(2), w) == (0, -1)
             assert not is_local_square(k.element(Fraction(1, 2)), w)
 
-    def test_dyadic_places_of_quadratic_fields_have_no_key(self):
-        for d in (5, 3, 6):
-            with pytest.raises(PlaceKindError):
-                local_square_class(Field(d).element(3), Place.finite(Field(d), 2))
-        k = Field(17)
-        with pytest.raises(UnsupportedDyadicPlaceError):
-            local_square_class(k.element(3), places_above(k, 2)[0])
+    def test_dyadic_keys_name_16_classes(self):
+        """2 inert (d = 5, 13) or ramified: 16 keys, one per class of
+        K_v^x / K_v^x2.  The class representatives give back their keys,
+        and the digit search finds no square among the products of two
+        of them."""
+        for d in (5, 13, 2, 3, 6, 7, 10, 11):
+            k = Field(d)
+            v = Place.finite(k, 2)
+            keys = dyadic_keys(d)
+            assert len(keys) == 16
+            reps = [dyadic_class_element(k, key) for key in keys]
+            assert [local_square_class(r, v) for r in reps] == keys
+            for i, x in enumerate(reps):
+                for y in reps[i + 1:]:
+                    assert not oracles.is_local_square_by_kind(x * y, v), (d, str(x), str(y))
+
+    def test_split_dyadic_keys_are_the_q2_images(self):
+        for d in (17, 33, 41):
+            k = Field(d)
+            for x in (k.element(3), k.sqrt_d, k.element(Fraction(5, 4), -3), k.element(1, 1)):
+                images = oracles.split_images(x.a0, x.a1, d, 2, 3)
+                for w, (n, unit) in zip(places_above(k, 2), images):
+                    assert local_square_class(x, w) == (n % 2, unit), (str(x), str(w))
 
     def test_arguments_checked(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Factoring, primality and the factoring budget, checked against sympy."""
+"""Factoring, primality, the factoring budget and 2-adic square roots, checked against sympy."""
 
 import random
 
@@ -170,3 +170,16 @@ class TestIsPrime:
 
         for n in range(49, 30000, 2):
             assert numtheory._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+
+
+class TestSquareRootModPrimePower:
+    def test_two_adic_root_is_one_mod_four(self):
+        """p = 2, a = 1 mod 8: the root mod 2^k is the one of sympy's
+        roots mod 2^(k+1) that is 1 mod 4, reduced mod 2^k."""
+        for a in (1, 9, 17, 33, 41, -7, -15, 2**61 + 1, 12345 * 8 + 1):
+            for k in (1, 2, 3, 4, 5, 8, 13, 40):
+                roots = sympy.sqrt_mod(a, 2 ** (k + 1), all_roots=True)
+                expected = next(r for r in roots if r % 4 == 1) % 2**k
+                assert sqrt_mod_prime_power(a, 2, k) == expected, (a, k)
+        with pytest.raises(ValueError):
+            sqrt_mod_prime_power(5, 2, 6)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quathyp.errors import FieldMismatchError, UnsupportedDyadicPlaceError
+from quathyp.errors import FieldMismatchError
 from quathyp.fields import (
     QQ,
     Field,
@@ -34,6 +34,7 @@ from quathyp.quadratic import (
 from oracles import (
     forms_isometric_every_place,
     hasse_invariant_pairwise,
+    hilbert_symbol_by_kind,
     qp_hilbert,
     qp_is_square,
     qp_ternary_isotropic_fast,
@@ -374,24 +375,54 @@ class TestIsometry:
 
 
 class TestTwoSplit:
-    """2 splits in Q(sqrt(17)): the dyadic invariants are unsupported, and
-    reciprocity must not stand in for two dyadic places."""
+    """2 splits in Q(sqrt(17)): both dyadic places have completion Q_2,
+    and the invariants there match the Q_2 kernel on the 2-adic images."""
 
     k = Field(17)
-    q = diagonal_form(k, 1, 3, -5)
+    forms = [
+        diagonal_form(k, 1, 3, -5),
+        diagonal_form(k, k.element(1, 1), -3, k.element(Fraction(5, 2), -1)),
+        diagonal_form(k, k.sqrt_d, -1, 2, k.element(3, -1)),
+        diagonal_form(k, -1, -1, -1),
+    ]
 
-    def test_isometry_raises(self):
-        with pytest.raises(UnsupportedDyadicPlaceError):
-            forms_isometric(self.q, self.q)
+    def test_isometry_matches_every_place(self):
+        q1 = diagonal_form(self.k, 1, 1)
+        q2 = diagonal_form(self.k, 2, 2)
+        assert forms_isometric(q1, q2) and forms_isometric_every_place(q1, q2)
+        # same dimension, determinant and signatures; the Hasse invariants
+        # differ at 2#1 and 2#2 and nowhere else
+        q3 = diagonal_form(self.k, 1, -6)
+        q4 = diagonal_form(self.k, 2, -12)
+        differ = [w for w in form_support(q3) if hasse_invariant(q3, w) != hasse_invariant(q4, w)]
+        assert differ == list(places_above(self.k, 2))
+        assert not forms_isometric(q3, q4) and not forms_isometric_every_place(q3, q4)
+        for a in self.forms:
+            for b in self.forms:
+                if a.dim == b.dim:
+                    assert forms_isometric(a, b) == forms_isometric_every_place(a, b)
 
-    def test_hasse_raises_at_each_dyadic_place(self):
-        for w in places_above(self.k, 2):
-            with pytest.raises(UnsupportedDyadicPlaceError):
-                hasse_invariant(self.q, w)
+    def test_hasse_at_each_dyadic_place_matches_the_kernel(self):
+        for q in self.forms:
+            for w in places_above(self.k, 2):
+                expected = 1
+                for i, a in enumerate(q.coeffs):
+                    for b in q.coeffs[i + 1:]:
+                        expected *= hilbert_symbol_by_kind(a, b, w)
+                assert hasse_invariant(q, w) == expected, (str(q), str(w))
 
-    def test_ternary_isotropy_raises(self):
-        with pytest.raises(UnsupportedDyadicPlaceError):
-            isotropic_global(self.q)
+    def test_ternary_isotropy_matches_the_symbol_oracle(self):
+        """<a, b, c> is isotropic exactly when (-ac, -bc) is +1 at every
+        place (Hasse-Minkowski)."""
+        for q in self.forms:
+            if q.dim != 3:
+                continue
+            a, b, c = q.coeffs
+            expected = all(
+                hilbert_symbol_by_kind(-a * c, -b * c, w) == 1 for w in form_support(q)
+            )
+            assert isotropic_global(q) == expected, str(q)
+        assert not isotropic_global(diagonal_form(self.k, -1, -1, -1))
 
 
 class TestFormSupport:

@@ -4,18 +4,35 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quathyp.errors import FieldMismatchError, UnsupportedDyadicPlaceError
-from quathyp.fields import QQ, Field, Place, places_above
-from quathyp.symbols import by_reciprocity, hilbert_symbol, product_formula_check, symbol_support
+from quathyp import numtheory
+from quathyp.errors import FieldMismatchError
+from quathyp.fields import (
+    QQ,
+    Field,
+    Place,
+    _dyadic_unit_classes,
+    dyadic_class_element,
+    is_local_square,
+    local_square_class,
+    places_above,
+)
+from quathyp.symbols import class_symbol, hilbert_symbol, product_formula_check, symbol_support
 
 import oracles
 
-#: Q, 2 inert (Q(sqrt5), Q(sqrt13)) and 2 ramified (Q(sqrt3), Q(sqrt6),
-#: Q(sqrt7), Q(sqrt2)): every field with a single dyadic place
-PROPERTY_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(13), Field(7), Field(2)]
+#: Q, 2 inert (Q(sqrt5), Q(sqrt13)), 2 ramified (Q(sqrt3), Q(sqrt6),
+#: Q(sqrt7), Q(sqrt2)) and 2 split (Q(sqrt17), Q(sqrt41)): every kind of
+#: dyadic place
+PROPERTY_FIELDS = [
+    QQ, Field(5), Field(3), Field(6), Field(13), Field(7), Field(2), Field(17), Field(41),
+]
+
+#: every squarefree 1 < d <= 50
+SQUAREFREE_D = [d for d in range(2, 51) if all(d % (q * q) for q in range(2, 8))]
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -175,12 +192,10 @@ class TestSymbolByKind:
     @given(element_pairs())
     def test_matches_the_kernel_per_kind_of_place(self, pair):
         """The symbol read off two square-class keys equals the real, tame
-        and dyadic kernels at every support place but the lone dyadic
-        place of a quadratic field."""
+        and dyadic kernels at every support place, and reciprocity over
+        those kernels at the lone dyadic place of a quadratic field."""
         a, b = pair
         for v in symbol_support(a, b):
-            if v.is_dyadic and not v.field.is_rational:
-                continue
             assert hilbert_symbol(a, b, v) == oracles.hilbert_symbol_by_kind(a, b, v), (
                 str(a), str(b), str(v))
 
@@ -202,8 +217,6 @@ class TestSupport:
                     for w in places_above(field, p):
                         if w in support:
                             continue
-                        if w.is_dyadic and not field.is_rational:
-                            continue  # inferred places are always in support
                         assert hilbert_symbol(a, b, w) == 1, (str(a), str(b), str(w))
 
     def test_support_covers_coordinate_denominators(self):
@@ -250,10 +263,93 @@ class TestReciprocity:
                 continue
             assert product_formula_check(a, b)
 
+    @pytest.mark.parametrize("d", SQUAREFREE_D)
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_product_formula_every_small_field(self, d, data):
+        """Each factor comes from the two elements' own keys, dyadic
+        places included, so this fails when any key is wrong."""
+        field = Field(d)
+        a, b = data.draw(elements(field)), data.draw(elements(field))
+        assert product_formula_check(a, b), (str(a), str(b))
+
+
+#: 2 inert (5, 13, 21, 29) and 2 ramified (2, 3, 6, 7, 10, 11)
+TABLE_D = [2, 3, 5, 6, 7, 10, 11, 13, 21, 29]
+
+
+def dyadic_keys(d):
+    """The 16 square-class keys at the dyadic place of Q(sqrt(d)), 2 inert
+    or ramified."""
+    return [(n, c) for n in (0, 1) for c in sorted(set(_dyadic_unit_classes(d).values()))]
+
+
+def _witness(field, ra, rb, v):
+    """x, y with ra x^2 + rb y^2 a nonzero square at v: found by the
+    library's square test, certified by the digit-search oracle.  x and
+    y run over i + j*theta, theta = (1+sqrt(d))/2 (2 inert) or sqrt(d)."""
+    theta = field.element(Fraction(1, 2), Fraction(1, 2)) if field.d % 8 == 5 else field.sqrt_d
+    box = [field.element(i) + j * theta for i in range(-3, 4) for j in range(-3, 4)]
+    for x in box:
+        for y in box:
+            z = ra * x * x + rb * y * y
+            if z and is_local_square(z, v) and oracles.is_local_square_by_kind(z, v):
+                return x, y
+    return None
+
+
+class TestDyadicTable:
+    """The dyadic symbol table of a field in which 2 is inert or ramified.
+
+    Symmetric, bilinear and nondegenerate, with a certified solution of
+    z^2 = a x^2 + b y^2 behind every +1: its +1 set then lies in the true
+    symbol's, and two nondegenerate bilinear forms on the 16 classes with
+    that property are equal."""
+
+    @pytest.mark.parametrize("d", TABLE_D)
+    def test_table_is_the_hilbert_symbol(self, d):
+        field = Field(d)
+        v = places_above(field, 2)[0]
+        keys = dyadic_keys(d)
+        assert len(keys) == 16
+        reps = {k: dyadic_class_element(field, k) for k in keys}
+        assert all(local_square_class(reps[k], v) == k for k in keys)
+        table = {(ka, kb): class_symbol(ka, kb, v) for ka in keys for kb in keys}
+        for ka in keys:
+            assert any(table[ka, kb] == -1 for kb in keys) == (ka != (0, 1))
+            for kb in keys:
+                assert table[ka, kb] == table[kb, ka]
+                for kc in keys:
+                    kbc = local_square_class(reps[kb] * reps[kc], v)
+                    assert table[ka, kbc] == table[ka, kb] * table[ka, kc]
+        for i, ka in enumerate(keys):
+            for kb in keys[i:]:
+                if table[ka, kb] == 1:
+                    assert _witness(field, reps[ka], reps[kb], v), (d, ka, kb)
+
+    @pytest.mark.parametrize("residue", [3, 5])
+    def test_large_field_needs_no_hard_factoring(self, residue, monkeypatch):
+        """Over Q(sqrt(p)) for a 200-bit prime p (2 ramified or inert),
+        the class representatives' norms split by trial division and one
+        primality test, so no table entry runs Pollard-Brent."""
+        p = sympy.nextprime(2**200)
+        while p % 8 != residue:
+            p = sympy.nextprime(p)
+        k = Field(p)
+        v = places_above(k, 2)[0]
+        monkeypatch.setattr(numtheory, "_pollard_brent", lambda n: pytest.fail(f"split {n}"))
+        keys = dyadic_keys(p)
+        kb, kc = keys[5], keys[12]
+        kbc = local_square_class(dyadic_class_element(k, kb) * dyadic_class_element(k, kc), v)
+        for ka in keys:
+            assert local_square_class(dyadic_class_element(k, ka), v) == ka
+            assert class_symbol(ka, kb, v) * class_symbol(ka, kc, v) == class_symbol(ka, kbc, v)
+        assert product_formula_check(k.sqrt_d, k.element(-3))
+
 
 class TestDyadicQuadraticConsistency:
-    """The lone dyadic symbol over a quadratic field is inferred from
-    reciprocity, so we check it against facts it cannot see directly."""
+    """The dyadic symbols over a quadratic field against facts they
+    cannot see directly."""
 
     def test_known_split_algebra_everywhere(self):
         # (x, 1-x) splits; all symbols +1 including the inferred dyadic one
@@ -278,11 +374,23 @@ class TestDyadicQuadraticConsistency:
             if is_local_square(a, w2):
                 assert hilbert_symbol(a, b, w2) == 1
 
-    def test_split_dyadic_place_unsupported(self):
+    def test_split_dyadic_places_read_the_q2_images(self):
+        """When 2 splits, sqrt(17) goes to the 2-adic root r = 1 mod 4 at
+        2#1 and to -r at 2#2, so (sqrt(17), -1) is +1 at 2#1 and -1 at
+        2#2; random symbols at both places match the Q_2 kernel."""
         k = Field(17)
-        w = places_above(k, 2)[0]
-        with pytest.raises(UnsupportedDyadicPlaceError):
-            hilbert_symbol(k.element(3), k.element(5), w)
+        w1, w2 = places_above(k, 2)
+        assert hilbert_symbol(k.sqrt_d, k.element(-1), w1) == 1
+        assert hilbert_symbol(k.sqrt_d, k.element(-1), w2) == -1
+        rng = random.Random(59)
+        for d in (17, 33, 41):
+            k = Field(d)
+            for _ in range(20):
+                a = k.element(random_rational(rng, 20), random_rational(rng, 6))
+                b = k.element(random_rational(rng, 20), random_rational(rng, 6))
+                for w in places_above(k, 2):
+                    assert hilbert_symbol(a, b, w) == oracles.hilbert_symbol_by_kind(a, b, w), (
+                        str(a), str(b), str(w))
 
     def test_by_reciprocity_is_the_product_of_the_other_places(self):
         k = Field(5)
@@ -290,9 +398,9 @@ class TestDyadicQuadraticConsistency:
         w2 = places_above(k, 2)[0]
         seen = []
         values = {v: (-1 if v.is_real else 1) for v in support}
-        got = by_reciprocity(w2, support, lambda v: seen.append(v) or values[v])
+        got = oracles.by_reciprocity(w2, support, lambda v: seen.append(v) or values[v])
         assert seen == [v for v in support if v != w2]
         assert got == (-1) ** len(k.real_places())
         split = symbol_support(Field(17).element(3), Field(17).element(5))
-        with pytest.raises(UnsupportedDyadicPlaceError, match="2 splits"):
-            by_reciprocity(split[2], split, lambda v: pytest.fail("evaluated a place"))
+        with pytest.raises(AssertionError, match="a second dyadic place"):
+            oracles.by_reciprocity(split[2], split, lambda v: pytest.fail("evaluated a place"))
