@@ -261,6 +261,8 @@ class Place:
 
     @classmethod
     def finite(cls, field: Field, p: int, position: str | None = None) -> "Place":
+        """The place over p (at `position` when p splits), for a p from
+        outside the library: p is tested for primality."""
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         kind = split_prime(p, field)
@@ -268,11 +270,10 @@ class Place:
             if position not in (SPLIT_FIRST, SPLIT_SECOND):
                 raise ValueError(f"{p} splits in {field}; specify which place")
         else:
-            expected = RATIONAL if field.is_rational else kind
             if position is None:
-                position = expected
-            if position != expected:
-                raise ValueError(f"{p} is {expected} in {field}, not {position}")
+                position = kind
+            if position != kind:
+                raise ValueError(f"{p} is {kind} in {field}, not {position}")
         return cls(field, "finite", p=p, position=position)
 
     @property
@@ -326,13 +327,21 @@ def split_prime(p: int, field: Field) -> str:
 
 def places_above(field: Field, p: int) -> tuple[Place, ...]:
     """All places of the field over the rational prime p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return _places_above(field, p)
+
+
+def _places_above(field: Field, p: int) -> tuple[Place, ...]:
+    """`places_above` for a p already known to be prime, such as one that
+    `numtheory.factor` returned: no second primality test."""
     kind = split_prime(p, field)
     if kind == "split":
         return (
-            Place.finite(field, p, SPLIT_FIRST),
-            Place.finite(field, p, SPLIT_SECOND),
+            Place(field, "finite", p=p, position=SPLIT_FIRST),
+            Place(field, "finite", p=p, position=SPLIT_SECOND),
         )
-    return (Place.finite(field, p),)
+    return (Place(field, "finite", p=p, position=kind),)
 
 
 def conjugate_place(v: Place) -> Place:
@@ -346,9 +355,9 @@ def conjugate_place(v: Place) -> Place:
     if v.is_real:
         return Place.real(v.field, 1 - v.embedding)
     if v.position == SPLIT_FIRST:
-        return Place.finite(v.field, v.p, SPLIT_SECOND)
+        return Place(v.field, "finite", p=v.p, position=SPLIT_SECOND)
     if v.position == SPLIT_SECOND:
-        return Place.finite(v.field, v.p, SPLIT_FIRST)
+        return Place(v.field, "finite", p=v.p, position=SPLIT_FIRST)
     return v
 
 

@@ -40,9 +40,10 @@ from .fields import (
     QQ,
     SPLIT_FIRST,
     SPLIT_SECOND,
-    split_prime,
+    _places_above,
 )
 from .hermitian import HermitianForm
+from .numtheory import is_prime
 from .quadratic import QuadraticForm
 from .subspaces import ComplexRestrictionData
 
@@ -286,22 +287,16 @@ def parse_place(text: str, field: Field, ptr: str = "") -> Place:
     except ValueError:
         raise DescriptorError(f"cannot read place {text!r}", ptr) from None
     _require_bits(p.bit_length(), "prime", ptr)
-    kind = split_prime(p, field)
+    if not is_prime(p):
+        raise DescriptorError(f"{p} is not prime", ptr)
+    above = _places_above(field, p)
     if pos:
-        if kind != "split" or pos not in ("1", "2"):
-            raise DescriptorError(
-                f"position #{pos} needs a split prime", ptr
-            )
-        position = SPLIT_FIRST if pos == "1" else SPLIT_SECOND
-        return Place.finite(field, p, position)
-    if kind == "split":
-        raise DescriptorError(
-            f"{p} splits in {field}; pick {p}#1 or {p}#2", ptr
-        )
-    try:
-        return Place.finite(field, p)
-    except ValueError as exc:
-        raise DescriptorError(str(exc), ptr) from None
+        if len(above) == 1 or pos not in ("1", "2"):
+            raise DescriptorError(f"position #{pos} needs a split prime", ptr)
+        return above[int(pos) - 1]
+    if len(above) == 2:
+        raise DescriptorError(f"{p} splits in {field}; pick {p}#1 or {p}#2", ptr)
+    return above[0]
 
 
 def place_to_str(v: Place) -> str:

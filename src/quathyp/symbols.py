@@ -28,8 +28,8 @@ from .fields import (
     Place,
     dyadic_class_element,
     element_support_primes,
+    _places_above,
     local_square_class,
-    places_above,
 )
 from .numtheory import factor
 
@@ -117,9 +117,9 @@ def symbol_support(*elements: FieldElement) -> tuple[Place, ...]:
         odd_primes |= element_support_primes(x)
     odd_primes.discard(2)
     places = list(field.real_places())
-    places.extend(places_above(field, 2))
+    places.extend(_places_above(field, 2))
     for p in sorted(odd_primes):
-        places.extend(places_above(field, p))
+        places.extend(_places_above(field, p))
     return tuple(sorted(places, key=Place.sort_key))
 
 

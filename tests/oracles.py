@@ -33,7 +33,7 @@ import sympy
 import quathyp.geometry as geo
 from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place
 from quathyp.quadratic import form_support, same_square_class, signature_at
-from quathyp.symbols import hilbert_symbol, symbol_support
+from quathyp.symbols import symbol_support
 
 # ---------------------------------------------------------------------------
 # p-adic squares over Q by enumeration
@@ -196,6 +196,27 @@ def split_prime_kind(p: int, d: int) -> str:
     return "split" if sympy.legendre_symbol(d % p, p) == 1 else "inert"
 
 
+@lru_cache(maxsize=1024)
+def _split_roots(d: int, p: int, prec: int) -> tuple[int, int]:
+    """The two square roots of d mod p^prec in the labeling order of
+    `split_images`."""
+    mod = p**prec
+    if p == 2:
+        # mod 2^(prec+1) the roots are +-r and +-r + 2^prec, r the 2-adic root
+        r = next(r for r in sympy.sqrt_mod(d, 2 * mod, all_roots=True) if r % 4 == 1)
+        return r % mod, -r % mod
+    roots = []
+    for r in sorted(sympy.sqrt_mod(d % p, p, all_roots=True)):
+        # Newton lifting of the chosen root of t^2 - d
+        k = 1
+        while k < prec:
+            k = min(2 * k, prec)
+            mk = p**k
+            r = (r - (r * r - d) * pow(2 * r, -1, mk)) % mk
+        roots.append(r)
+    return tuple(roots)
+
+
 def split_images(a0: Fraction, a1: Fraction, d: int, p: int, digits: int):
     """The two images of a0 + a1 sqrt(d) in Q_p under a split prime,
     as residues mod p^digits paired with the labeling convention that
@@ -208,22 +229,8 @@ def split_images(a0: Fraction, a1: Fraction, d: int, p: int, digits: int):
     """
     prec = digits + 40
     mod = p**prec
-    if p == 2:
-        # mod 2^(prec+1) the roots are +-r and +-r + 2^prec, r the 2-adic root
-        r = next(r for r in sympy.sqrt_mod(d, 2 * mod, all_roots=True) if r % 4 == 1)
-        roots = [r % mod, -r % mod]
-    else:
-        roots = []
-        for r in sorted(sympy.sqrt_mod(d % p, p, all_roots=True)):
-            # Newton lifting of the chosen root of t^2 - d
-            k = 1
-            while k < prec:
-                k = min(2 * k, prec)
-                mk = p**k
-                r = (r - (r * r - d) * pow(2 * r, -1, mk)) % mk
-            roots.append(r)
     out = []
-    for r in roots:
+    for r in _split_roots(d, p, prec):
         num = a0.numerator * a1.denominator + a1.numerator * a0.denominator * r
         den = a0.denominator * a1.denominator
         v = 0
@@ -438,11 +445,12 @@ def quadratic_local_is_square(
 
 
 def hasse_invariant_pairwise(q, v) -> int:
-    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j."""
+    """Product of the Hilbert symbols (a_i, a_j)_v over all pairs i < j,
+    each from `hilbert_symbol_by_kind`, not from square-class keys."""
     out = 1
     for i in range(q.dim):
         for j in range(i + 1, q.dim):
-            out *= hilbert_symbol(q.coeffs[i], q.coeffs[j], v)
+            out *= hilbert_symbol_by_kind(q.coeffs[i], q.coeffs[j], v)
     return out
 
 

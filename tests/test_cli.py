@@ -379,6 +379,16 @@ class TestErrorHandling:
         )
         assert code == 2 and "11#1" in err
 
+    @pytest.mark.parametrize("place", ["0", "1", "4", "4#1"])
+    def test_non_prime_place(self, capsys, place):
+        code, out, err = run(
+            capsys, "symbol", "--field", '{"base": "quadratic", "d": 5}', "--place", place,
+            "--", "-1", "-1",
+        )
+        assert code == 2 and out == ""
+        n = place.partition("#")[0]
+        assert err == f"input error: {n} is not prime (at /place)\n"
+
     def test_factoring_budget_exhausted(self, capsys, monkeypatch):
         import quathyp.numtheory
 

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import quathyp.fields
+from quathyp.algebras import quaternion_algebra, ramification_set
 from quathyp.errors import FieldMismatchError
 from quathyp.fields import (
     QQ,
+    SPLIT_FIRST,
+    SPLIT_SECOND,
     Field,
     Place,
     conjugate_place,
@@ -29,6 +33,7 @@ import oracles
 from test_symbols import PROPERTY, PROPERTY_FIELDS, dyadic_keys, elements
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+PRIMES_BELOW_300 = [p for p in range(2, 300) if all(p % q for q in range(2, p))]
 FIELDS = [Field(d) for d in (2, 3, 5, 6, 7, 10, 13, 21, 29)]
 
 
@@ -120,12 +125,54 @@ class TestPlaces:
         assert len(places_above(k, 5)) == 1
         assert len(places_above(QQ, 7)) == 1
 
+    def test_places_above_matches_checked_constructor(self):
+        for k in PROPERTY_FIELDS:
+            for p in PRIMES_BELOW_300:
+                if split_prime(p, k) == "split":
+                    checked = (Place.finite(k, p, SPLIT_FIRST), Place.finite(k, p, SPLIT_SECOND))
+                else:
+                    checked = (Place.finite(k, p),)
+                above = places_above(k, p)
+                assert above == checked, (k, p)
+                assert [hash(v) for v in above] == [hash(v) for v in checked]
+                assert [v.sort_key() for v in above] == [v.sort_key() for v in checked]
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 15, -7])
+    def test_non_primes_rejected(self, n):
+        for k in PROPERTY_FIELDS:
+            with pytest.raises(ValueError, match="not prime"):
+                places_above(k, n)
+            for position in (None, SPLIT_FIRST):
+                with pytest.raises(ValueError, match="not prime"):
+                    Place.finite(k, n, position)
+
+    def test_factored_primes_are_not_tested_again(self, monkeypatch):
+        # 20-, 24- and 28-bit primes, inert and split in Q(sqrt5) and Q(sqrt17)
+        p20, p24, p28 = 1048573, 16777213, 268435399
+        algebras = [
+            quaternion_algebra(QQ, -p20 * p24, p28),
+            quaternion_algebra(Field(5), -p20, -p24 * p28),
+            quaternion_algebra(Field(17), Field(17).element(-p28, 1), p20 * p24),
+        ]
+        answers = [(symbol_support(D.a, D.b), ramification_set(D)) for D in algebras]
+        assert all(p24 in {v.p for v in support} for support, _ in answers)
+
+        def refuse(n):
+            raise AssertionError(f"is_prime({n}) called on a factored prime")
+
+        monkeypatch.setattr(quathyp.fields, "is_prime", refuse)
+        assert [(symbol_support(D.a, D.b), ramification_set(D)) for D in algebras] == answers
+
     def test_conjugate_place_involution(self):
-        k = Field(5)
-        for v in places_above(k, 11) + k.real_places():
-            assert conjugate_place(conjugate_place(v)) == v
-        v1, v2 = places_above(k, 11)
-        assert conjugate_place(v1) == v2
+        for k in PROPERTY_FIELDS:
+            for v in [*k.real_places(), *(w for p in PRIMES_BELOW_300 for w in places_above(k, p))]:
+                assert conjugate_place(conjugate_place(v)) == v
+                if v.is_finite and split_prime(v.p, k) != "split":
+                    assert conjugate_place(v) == v
+            for p in PRIMES_BELOW_300:
+                if split_prime(p, k) == "split":
+                    v1, v2 = places_above(k, p)
+                    assert (conjugate_place(v1), conjugate_place(v2)) == (v2, v1)
 
     def test_real_place_validation(self):
         with pytest.raises(ValueError):

@@ -257,6 +257,13 @@ class TestPlaces:
         inert = places_above(k, 3)[0]
         assert parse_place("3", k) == inert
 
+    @pytest.mark.parametrize("text", ["0", "1", "4", "4#1", "15", "-7"])
+    def test_non_prime_is_a_descriptor_error(self, text):
+        for k in (QQ, Field(5)):
+            with pytest.raises(DescriptorError, match="is not prime") as info:
+                parse_place(text, k, "/place")
+            assert info.value.pointer == "/place"
+
     def test_split_prime_needs_a_branch(self):
         with pytest.raises(DescriptorError, match="11#1"):
             parse_place("11", Field(5))

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in it."""
+"""Source hygiene: every name a module of the library or of its tests
+imports is used in it."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ import quathyp
 
 MODULES = sorted(
     path for path in Path(quathyp.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+) + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
