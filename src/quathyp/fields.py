@@ -59,6 +59,10 @@ class Field:
             if squarefree_part(self.d) != self.d:
                 raise ValueError(f"d = {self.d} is not squarefree")
 
+    def __hash__(self) -> int:
+        # not hash(None), an address in CPython 3.11: sets of places keep one order
+        return hash(self.d or 0)
+
     @property
     def is_rational(self) -> bool:
         return self.d is None

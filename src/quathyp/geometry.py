@@ -14,11 +14,26 @@ modules.  Tolerances are module constants.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
+
+def _lazy_import(name: str):
+    """``name``, loaded, or lazy by the ``importlib.util.LazyLoader`` recipe."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# numpy runs once a function here reads ``np``: the arithmetic CLI never does
+np = _lazy_import("numpy")
 
 #: membership in the isometry group / Lie algebra
 GROUP_TOLERANCE = 1e-9
@@ -28,7 +43,7 @@ INVARIANCE_TOLERANCE = 1e-8
 SPAN_TOLERANCE = 1e-8
 #: how far below 1 the distance argument may fall before it is an error
 CLAMP_TOLERANCE = 1e-12
-ZERO_BAND = 64.0 * np.finfo(float).eps
+ZERO_BAND = 64.0 * sys.float_info.epsilon
 #: largest m the consolidated report accepts (its cost grows like m^4)
 MAX_REPORT_M = 16
 
@@ -46,11 +61,19 @@ def quat(w=0.0, x=0.0, y=0.0, z=0.0) -> np.ndarray:
     return np.array([w, x, y, z], dtype=float)
 
 
-QUAT_ONE = quat(1.0)
-QUAT_I = quat(0.0, 1.0)
-QUAT_J = quat(0.0, 0.0, 1.0)
-QUAT_K = quat(0.0, 0.0, 0.0, 1.0)
-QUAT_UNITS = (QUAT_ONE, QUAT_I, QUAT_J, QUAT_K)
+@lru_cache(maxsize=None)
+def _quat_units() -> tuple:
+    """The rows 1, i, j, k."""
+    return tuple(np.eye(4))
+
+
+def __getattr__(name: str):
+    """QUAT_ONE, QUAT_I, QUAT_J, QUAT_K and QUAT_UNITS, built on first read."""
+    names = ("QUAT_ONE", "QUAT_I", "QUAT_J", "QUAT_K", "QUAT_UNITS")
+    if name not in names:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    units = _quat_units()
+    return (*units, units)[names.index(name)]
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
@@ -328,16 +351,17 @@ def H_element(m: int, ell: int, alpha) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _cached_basis(m: int) -> np.ndarray:
+    units = _quat_units()
     out: list[np.ndarray] = []
     for ell in range(1, m + 1):
-        for unit in QUAT_UNITS:
+        for unit in units:
             out.append(X_element(m, ell, unit))
     for l1 in range(1, m + 1):
         for l2 in range(l1 + 1, m + 1):
-            for unit in QUAT_UNITS:
+            for unit in units:
                 out.append(Y_element(m, l1, l2, unit))
     for ell in range(1, m + 2):
-        for unit in QUAT_UNITS[1:]:
+        for unit in units[1:]:
             out.append(H_element(m, ell, unit))
     basis = np.stack(out)
     basis.setflags(write=False)
@@ -558,16 +582,17 @@ def standard_span(m: int, kind: str, dim: int = 2) -> SubspaceSpan:
         v[i] = unit
         return v
 
+    units = _quat_units()
     if kind == TOTALLY_REAL:
         if dim > m:
             raise ValueError("not enough axes")
-        vecs = [axis(i, QUAT_ONE) for i in range(dim)]
+        vecs = [axis(i, units[0]) for i in range(dim)]
     elif kind == TOTALLY_COMPLEX:
-        vecs = [axis(0, QUAT_ONE), axis(0, QUAT_I)]
+        vecs = [axis(0, units[0]), axis(0, units[1])]
     elif kind == TOTALLY_QUATERNIONIC:
         if m < 2:
             raise ValueError("needs m >= 2")
-        vecs = [axis(i, u) for i in range(2) for u in QUAT_UNITS]
+        vecs = [axis(i, u) for i in range(2) for u in units]
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return SubspaceSpan(np.stack(vecs))
@@ -597,7 +622,7 @@ def bracket_identity_dev(m: int) -> float:
     Y = basis[4 * m : len(basis) - 3 * n].reshape(-1, 4, n, n, 4)
     H = basis[len(basis) - 3 * n :].reshape(n, 3, n, n, 4)
     index_pairs = [(l1, l2) for l1 in range(m) for l2 in range(l1 + 1, m)]
-    units = np.stack(QUAT_UNITS)
+    units = np.stack(_quat_units())
     # [a, b, c]: the coefficient of unit c in a conj(b), resp. conj(b) a
     a_conj_b = quat_mul(units[:, None], quat_conj(units)[None, :])
     conj_b_a = quat_mul(quat_conj(units)[None, :], units[:, None])
@@ -640,6 +665,7 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     if samples < 1:
         raise ValueError(f"the report needs at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
+    one, i_unit, j_unit, _ = _quat_units()
     checks = []
 
     def check(name, value, reference, passed, detail):
@@ -666,14 +692,14 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         f"four structural families, max deviation {br_dev:.2e}",
     )
 
-    w = tangent_of_corner(X_element(m, 1, QUAT_ONE), m)
+    w = tangent_of_corner(X_element(m, 1, one), m)
     g_base = float(metric_at(base_point(m), w, w)[0])
     check(
         "base-metric", g_base, CORNER_METRIC, abs(g_base - CORNER_METRIC) <= 1e-12,
         f"g(w,w) = {g_base:.12g} for the unit corner direction",
     )
 
-    kappa = killing_value(X_element(m, 1, QUAT_ONE), X_element(m, 1, QUAT_ONE), m)
+    kappa = killing_value(X_element(m, 1, one), X_element(m, 1, one), m)
     ref_kappa = killing_corner_value(m)
     check(
         "killing-x1", kappa, ref_kappa, abs(kappa - ref_kappa) <= 1e-9,
@@ -729,9 +755,9 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         ),
     }
     perturbed = np.zeros((2, m, 4))
-    perturbed[0, 0] = QUAT_ONE
-    perturbed[1, 1] = QUAT_J
-    perturbed[1, 0] = 0.3 * QUAT_I
+    perturbed[0, 0] = one
+    perturbed[1, 1] = j_unit
+    perturbed[1, 0] = 0.3 * i_unit
     classify_ok = all(k == v for k, v in expected.items()) and (
         classify_subspace(SubspaceSpan(perturbed)) == NOT_LIE_TRIPLE
     )

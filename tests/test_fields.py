@@ -30,6 +30,7 @@ from quathyp.fields import (
 from quathyp.symbols import symbol_support
 
 import oracles
+from test_geometry import child_stdout
 from test_symbols import PROPERTY, PROPERTY_FIELDS, dyadic_keys, elements
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
@@ -60,6 +61,18 @@ class TestFieldConstruction:
         assert Field(5) == Field(5)
         assert Field(5) != Field(13)
         assert Field(5) != QQ
+
+    def test_hashes_repeat_across_processes(self):
+        # CPython 3.11 hashes None by its address, which differs from one
+        # process to the next; a hash of Q must not depend on it
+        code = (
+            "from quathyp.fields import QQ, Place; "
+            "from quathyp.algebras import quaternion_algebra, ramification_set; "
+            "print(hash(QQ), hash(Place.finite(QQ, 7)), "
+            "list(ramification_set(quaternion_algebra(QQ, -28, 26))))"
+        )
+        outputs = {child_stdout(code, PYTHONHASHSEED="0") for _ in range(3)}
+        assert len(outputs) == 1
 
 
 class TestElementArithmetic:

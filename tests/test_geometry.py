@@ -384,18 +384,25 @@ class TestReport:
             geo.geometry_report(1)
 
 
-def _modules_loaded_by(statement):
-    # the child interpreter imports the same quathyp as this test process
+def child_stdout(code, **env):
+    """Standard output of ``code`` in a fresh interpreter that imports the
+    same quathyp as this test process."""
     root = os.path.dirname(os.path.dirname(quathyp.__file__))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", f"{statement}; import sys; print(' '.join(sys.modules))"],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         check=True,
     )
-    return set(proc.stdout.split())
+    return proc.stdout
+
+
+def _modules_loaded_by(statement):
+    # the last line: the statement may print output of its own first
+    out = child_stdout(f"{statement}; import sys; print(' '.join(sys.modules))")
+    return set(out.splitlines()[-1].split())
 
 
 def _packages(modules):
@@ -411,3 +418,65 @@ def test_cli_imports_geometry_without_scipy():
 def test_package_imports_neither_numpy_nor_scipy():
     packages = _packages(_modules_loaded_by("import quathyp"))
     assert "numpy" not in packages and "scipy" not in packages
+
+
+HAMILTON = '{"field": {"base": "Q"}, "v0": {"embedding": 0}, "algebra": {"a": -1, "b": -1}}'
+AMBIENT = (
+    '{"kind": "nonsplit", "form": {"field": {"base": "Q"}, '
+    '"algebra": {"a": -1, "b": -3}, "coeffs": [1, 1, -1]}}'
+)
+ARITHMETIC_COMMANDS = [
+    ["symbol", "--", "-1", "-1"],
+    ["ramification", '{"field": {"base": "Q"}, "a": -1, "b": -3}'],
+    ["invariants", '{"field": {"base": "Q"}, "algebra": {"a": -1, "b": -1}, "coeffs": [1, -3]}'],
+    ["isometric", '{"field": {"base": "Q"}, "coeffs": [1, -6]}',
+     '{"field": {"base": "Q"}, "coeffs": [2, -12]}'],
+    ["commensurable", HAMILTON, HAMILTON.replace('"b": -1', '"b": -3')],
+    ["admissible", HAMILTON],
+    ["canonical-form", "--m", "2", HAMILTON],
+    ["embeds-real", '{"field": {"base": "Q"}, "coeffs": [1, 1, -3]}', AMBIENT],
+    ["embeds-complex", "0", '{"field": {"base": "Q"}, "c": -7, "coeffs": [1, 1, -1]}', AMBIENT],
+    ["surface-witness", HAMILTON],
+]
+
+
+def _modules_loaded_by_cli(argv):
+    return _modules_loaded_by(f"from quathyp.cli import main; assert main({argv!r}) == 0")
+
+
+@pytest.mark.parametrize("argv", ARITHMETIC_COMMANDS, ids=lambda argv: argv[0])
+def test_arithmetic_commands_never_execute_numpy(argv):
+    loaded = _modules_loaded_by_cli(argv)
+    # the lazy "numpy" module itself is there; its package code never ran
+    assert "quathyp.geometry" in loaded
+    assert not [name for name in loaded if name.startswith("numpy.")]
+
+
+def test_verify_geometry_loads_numpy():
+    assert "numpy._core" in _modules_loaded_by_cli(["verify-geometry", "--m", "2"])
+
+
+class TestLazyModuleSurface:
+    UNIT_NAMES = ("QUAT_ONE", "QUAT_I", "QUAT_J", "QUAT_K")
+
+    def test_unit_rows(self):
+        rows = ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1])
+        for name, row in zip(self.UNIT_NAMES, rows):
+            value = getattr(geo, name)
+            assert isinstance(value, np.ndarray) and value.dtype == float
+            assert np.array_equal(value, row)
+        units = geo.QUAT_UNITS
+        assert isinstance(units, tuple) and len(units) == 4
+        assert all(unit is getattr(geo, name) for unit, name in zip(units, self.UNIT_NAMES))
+
+    def test_zero_band(self):
+        assert geo.ZERO_BAND == 64 * np.finfo(float).eps
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            geo.no_such_name
+
+    def test_from_import(self):
+        from quathyp.geometry import QUAT_J
+
+        assert np.array_equal(QUAT_J, [0.0, 0.0, 1.0, 0.0])

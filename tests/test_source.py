@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the library or of its tests
-imports is used in it."""
+imports is used in it, and no library module imports numpy when it is
+itself imported."""
 
 import ast
 from pathlib import Path
@@ -8,9 +9,10 @@ import pytest
 
 import quathyp
 
-MODULES = sorted(
-    path for path in Path(quathyp.__file__).parent.glob("*.py") if path.name != "__init__.py"
-) + sorted(Path(__file__).parent.glob("*.py"))
+SOURCES = sorted(Path(quathyp.__file__).parent.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"] + sorted(
+    Path(__file__).parent.glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +38,60 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_name():
     source = "from math import gcd, lcm\nimport os.path\nimport json as j\nprint(gcd, j)\n"
     assert unused_imports(source) == ["lcm (line 1)", "os (line 2)"]
+
+
+def _is_numpy(name) -> bool:
+    return isinstance(name, str) and name.split(".")[0] == "numpy"
+
+
+def _imports_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(_is_numpy(alias.name) for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and _is_numpy(node.module)
+
+
+def _import_time_nodes(node: ast.AST):
+    """The nodes that run when the module is imported: all but the
+    bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def eager_numpy_imports(source: str) -> list[str]:
+    """Import statements that load numpy when the module is imported."""
+    nodes = _import_time_nodes(ast.parse(source))
+    return [f"line {node.lineno}" for node in nodes if _imports_numpy(node)]
+
+
+def names_numpy(source: str) -> bool:
+    """Whether the module imports numpy anywhere or names it in a string
+    (``importlib.import_module("numpy")`` and the like)."""
+    return any(
+        _imports_numpy(node)
+        or (isinstance(node, ast.Constant) and _is_numpy(node.value))
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_numpy_is_lazy_and_only_in_geometry(path):
+    source = path.read_text(encoding="utf-8")
+    assert eager_numpy_imports(source) == []
+    assert names_numpy(source) == (path.name == "geometry.py")
+
+
+def test_numpy_guard_sees_eager_and_hidden_imports():
+    source = (
+        "import math\n"
+        "try:\n    import numpy.linalg as la\nexcept ImportError:\n    la = None\n"
+        "from numpy import eye\n"
+        "class A:\n    import numpy as np\n"
+        "def f():\n    import numpy\n    return numpy\n"
+    )
+    assert eager_numpy_imports(source) == ["line 3", "line 6", "line 8"]
+    assert eager_numpy_imports("def f():\n    import numpy\n") == []
+    assert names_numpy("def f():\n    from numpy import eye\n")
+    assert names_numpy('np = __import__("numpy")\n')
+    assert not names_numpy('"""Rows of a numpy array."""\nimport numbers\n')
