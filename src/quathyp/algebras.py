@@ -89,13 +89,14 @@ def algebras_isomorphic(D1: QuaternionAlgebra, D2: QuaternionAlgebra) -> bool:
 
     Two quaternion algebras over one number field are isomorphic exactly
     when they ramify at the same places, so the comparison needs no
-    explicit isomorphism.
+    explicit isomorphism.  Isomorphism is reflexive: equal parameters
+    decide it before any ramification set is built.
     """
     if D1.field != D2.field:
         raise FieldMismatchError(
             f"cannot compare algebras over {D1.field} and {D2.field}"
         )
-    return ramification_set(D1) == ramification_set(D2)
+    return D1 == D2 or ramification_set(D1) == ramification_set(D2)
 
 
 def conjugate_algebra(D: QuaternionAlgebra) -> QuaternionAlgebra:

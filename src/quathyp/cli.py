@@ -18,10 +18,10 @@ from . import serialize
 from .algebras import ramification_set, ramified_real_places
 from .commensurability import (
     canonical_hermitian,
-    field_automorphisms,
     general_cn_commensurable,
     is_admissible,
     is_compact,
+    matching_automorphisms,
     quaternionic_commensurable,
     triples_equivalent,
 )
@@ -214,12 +214,8 @@ def _cmd_commensurable(args):
 
 
 def _descriptor_reason(d1, d2) -> str:
-    from .algebras import algebras_isomorphic
-    from .commensurability import algebra_image
-
-    for tau in field_automorphisms(d1.field):
-        if algebras_isomorphic(d1.form.algebra, algebra_image(tau, d2.form.algebra)):
-            return "signatures differ at a real place"
+    if matching_automorphisms(d1.form.algebra, d2.form.algebra):
+        return "signatures differ at a real place"
     return "ramification sets differ"
 
 

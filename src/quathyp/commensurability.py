@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 from .algebras import (
     QuaternionAlgebra,
-    algebras_isomorphic,
     conjugate_algebra,
     is_division,
+    ramification_set,
     ramified_real_places,
 )
 from .errors import (
@@ -26,8 +26,8 @@ from .errors import (
     NotQuaternionicHyperbolicError,
     UnsupportedRankError,
 )
-from .fields import Field, Place, conjugate_place
-from .hermitian import HermitianForm, signature_at_ramified
+from .fields import Field, Place, conjugate_place, real_signature
+from .hermitian import HermitianForm
 
 IDENTITY = "id"
 CONJUGATION = "conj"
@@ -54,6 +54,20 @@ def hermitian_image(tau: str, h: HermitianForm) -> HermitianForm:
         return h
     return HermitianForm(
         conjugate_algebra(h.algebra), tuple(c.conjugate() for c in h.coeffs)
+    )
+
+
+def matching_automorphisms(D1: QuaternionAlgebra, D2: QuaternionAlgebra) -> tuple[str, ...]:
+    """The field automorphisms tau with D1 isomorphic to tau(D2).
+
+    Ram(tau D) = tau(Ram D) (Maclachlan-Reid, section 2.7), so each
+    ramification set is built once and tau acts on its places, not on
+    the algebra's parameters."""
+    ram1, ram2 = ramification_set(D1), ramification_set(D2)
+    return tuple(
+        tau
+        for tau in field_automorphisms(D1.field)
+        if ram1 == {place_image(tau, v) for v in ram2}
     )
 
 
@@ -89,14 +103,10 @@ def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
     Galois conjugation; the isomorphism must send t2's distinguished
     place to t1's and make the algebras isomorphic.
     """
-    if t1.field != t2.field:
-        return False
-    for tau in field_automorphisms(t1.field):
-        if place_image(tau, t2.v0) != t1.v0:
-            continue
-        if algebras_isomorphic(t1.algebra, algebra_image(tau, t2.algebra)):
-            return True
-    return False
+    return t1.field == t2.field and any(
+        place_image(tau, t2.v0) == t1.v0
+        for tau in matching_automorphisms(t1.algebra, t2.algebra)
+    )
 
 
 def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
@@ -121,7 +131,7 @@ def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
     h = HermitianForm(t.algebra, (field.one,) * m + (lam,))
     for v in field.real_places():
         expected = (m, 1) if v == t.v0 else (m + 1, 0)
-        if signature_at_ramified(h, v) != expected:  # pragma: no cover
+        if real_signature(h.coeffs, v) != expected:  # pragma: no cover
             raise RuntimeError(f"canonical form has wrong signature at {v}")
     return h
 
@@ -173,11 +183,8 @@ def triple_of(desc: OrbifoldClassDescriptor) -> AdmissibleTriple:
             raise NotQuaternionicHyperbolicError(
                 f"algebra does not ramify at the real place {v}"
             )
-    mixed = [
-        v
-        for v in field.real_places()
-        if 0 not in signature_at_ramified(h, v)
-    ]
+    sigs = ((v, real_signature(h.coeffs, v)) for v in ram)
+    mixed = [(v, sig) for v, sig in sigs if 0 not in sig]
     if not mixed:
         raise NotQuaternionicHyperbolicError(
             "form is definite at every real place; no distinguished place"
@@ -186,8 +193,7 @@ def triple_of(desc: OrbifoldClassDescriptor) -> AdmissibleTriple:
         raise NotQuaternionicHyperbolicError(
             "form is indefinite at more than one real place"
         )
-    v0 = mixed[0]
-    sig = signature_at_ramified(h, v0)
+    v0, sig = mixed[0]
     if sig != (h.dim - 1, 1):
         raise NotQuaternionicHyperbolicError(
             f"signature at {v0} is {sig}, not ({h.dim - 1}, 1)"
@@ -223,7 +229,8 @@ def general_cn_commensurable(
     Nonsplit/nonsplit: same rank, isomorphic fields, and some field
     automorphism making the algebras isomorphic while matching, place by
     place, the unordered signature pairs at the real places where the
-    algebras ramify.
+    algebras ramify.  The algebras are compared by the Galois images of
+    their ramification sets, each built once (:func:`matching_automorphisms`).
     """
     if d1.n < 3 or d2.n < 3:
         raise UnsupportedRankError("type C_n decisions require n >= 3")
@@ -234,18 +241,14 @@ def general_cn_commensurable(
     if d1.n != d2.n or d1.field != d2.field:
         return False
     h1, h2 = d1.form, d2.form
-    D1 = h1.algebra
-    ram_reals = ramified_real_places(D1)
-    for tau in field_automorphisms(d1.field):
-        if not algebras_isomorphic(D1, algebra_image(tau, h2.algebra)):
-            continue
-        if all(
-            _unordered(signature_at_ramified(h1, v))
-            == _unordered(signature_at_ramified(h2, place_image(tau, v)))
-            for v in ram_reals
-        ):
-            return True
-    return False
+    ram_reals = ramified_real_places(h1.algebra)
+    sigs1 = [_unordered(real_signature(h1.coeffs, v)) for v in ram_reals]
+    # a matching tau carries Ram(D2) onto Ram(D1), so each tau(v) ramifies in D2
+    return any(
+        sigs1
+        == [_unordered(real_signature(h2.coeffs, place_image(tau, v))) for v in ram_reals]
+        for tau in matching_automorphisms(h1.algebra, h2.algebra)
+    )
 
 
 def is_compact(t: AdmissibleTriple) -> bool:

@@ -230,7 +230,7 @@ def embeds_complex(
     _check_hyperbolic_signatures(data.coeffs, t, data.dim)
     if not subfield_embeds(t.algebra, data.c):
         return EmbeddingVerdict(False, failed_condition="subfield-does-not-embed")
-    candidate = extend_complex(data, t.algebra)
+    candidate = HermitianForm(t.algebra, data.coeffs)  # extend_complex; subfield tested above
     if hermitian_isometric(candidate, ambient.form):
         return EmbeddingVerdict(True, witness=candidate)
     return EmbeddingVerdict(False, failed_condition="extension-not-isometric")

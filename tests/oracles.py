@@ -16,8 +16,10 @@ are products of one Hilbert symbol per coefficient pair, and isometry
 compares them at every place, the dyadic ones included.  For the numeric
 sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
 coordinates, Lie-triple closure is tested one triple at a time and the
-structural bracket identities one bracket at a time.  The oracles are
-slow and simple on purpose.
+structural bracket identities one bracket at a time.  Commensurability
+is decided one field automorphism at a time, with the conjugate algebra's
+ramification set built from its own parameters.  The oracles are slow
+and simple on purpose.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ import numpy as np
 import sympy
 
 import quathyp.geometry as geo
+from quathyp.algebras import algebras_isomorphic, ramified_real_places
+from quathyp.commensurability import algebra_image, field_automorphisms, place_image
 from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place
+from quathyp.hermitian import signature_at_ramified
 from quathyp.quadratic import form_support, same_square_class, signature_at
 from quathyp.symbols import symbol_support
 
@@ -468,6 +473,39 @@ def forms_isometric_every_place(q1, q2) -> bool:
         elif hasse_invariant_pairwise(q1, v) != hasse_invariant_pairwise(q2, v):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# commensurability one field automorphism at a time
+
+
+def triples_equivalent_by_images(t1, t2) -> bool:
+    """Whether some field automorphism tau sends t2.v0 to t1.v0 and
+    makes t1.algebra isomorphic to tau(t2.algebra), the algebra with
+    conjugated parameters, whose ramification set is built afresh."""
+    return t1.field == t2.field and any(
+        place_image(tau, t2.v0) == t1.v0
+        and algebras_isomorphic(t1.algebra, algebra_image(tau, t2.algebra))
+        for tau in field_automorphisms(t1.field)
+    )
+
+
+def nonsplit_commensurable_by_images(d1, d2) -> bool:
+    """The type C_n decision for two nonsplit descriptors, tau by tau:
+    tau(D2) as an algebra, and the unordered signature pairs read by
+    ``signature_at_ramified``, which checks each place ramifies."""
+    unordered = lambda sig: frozenset((sig, sig[::-1]))
+    if d1.n != d2.n or d1.field != d2.field:
+        return False
+    h1, h2 = d1.form, d2.form
+    for tau in field_automorphisms(d1.field):
+        if algebras_isomorphic(h1.algebra, algebra_image(tau, h2.algebra)) and all(
+            unordered(signature_at_ramified(h1, v))
+            == unordered(signature_at_ramified(h2, place_image(tau, v)))
+            for v in ramified_real_places(h1.algebra)
+        ):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

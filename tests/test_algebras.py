@@ -227,6 +227,26 @@ class TestConjugation:
             expected = {conjugate_place(v) for v in ramification_set(D)}
             assert set(ramification_set(conjugate_algebra(D))) == expected
 
+    @pytest.mark.parametrize("d", [5, 3, 6, 17])
+    def test_ramification_is_galois_equivariant(self, d):
+        """Ram(conj D) = conj(Ram D) on seeded algebras.  Over Q(sqrt(17))
+        2 splits, so the two dyadic places must trade labels."""
+        k = Field(d)
+        rng = random.Random(f"equivariance:{d}")
+        moved = set()
+        for _ in range(40):
+            a = k.element(rng.randint(-40, 40), rng.randint(-9, 9))
+            b = k.element(rng.randint(-40, 40), rng.randint(-9, 9))
+            if not a or not b:
+                continue
+            D = quaternion_algebra(k, a, b)
+            ram = ramification_set(D)
+            image = {conjugate_place(v) for v in ram}
+            assert ramification_set(conjugate_algebra(D)) == image, str(D)
+            moved |= {v.p for v in ram if v.is_finite and conjugate_place(v) not in ram}
+        if d == 17:
+            assert 2 in moved
+
     def test_conjugation_can_change_the_isomorphism_class(self):
         # (4 + sqrt(5), -1) is ramified at one of the two places over 11;
         # its conjugate is ramified at the other one.

@@ -128,25 +128,12 @@ class TestRamification:
         assert code == 0
         assert "nowhere" in out and "division algebra: no" in out
 
-    def test_factors_once_per_invocation(self, capsys, monkeypatch):
-        import quathyp.algebras
-        import quathyp.cli
-
-        calls = []
-        inner = quathyp.algebras.ramification_set
-
-        def counted(D):
-            calls.append(D)
-            return inner(D)
-
-        # both bindings: the CLI's own and the one is_division would reach
-        monkeypatch.setattr(quathyp.cli, "ramification_set", counted)
-        monkeypatch.setattr(quathyp.algebras, "ramification_set", counted)
+    def test_factors_once_per_invocation(self, capsys, ramification_calls):
         code, out, _ = run(
             capsys, "ramification", "--json", f'{{"field": {RATIONAL}, "a": -1, "b": -3}}'
         )
         assert code == 0 and json.loads(out)["division"] is True
-        assert len(calls) == 1
+        assert len(ramification_calls) == 1
 
     def test_listing_is_not_a_decision(self, capsys):
         # --strict only demotes negative yes/no answers, not empty listings
@@ -224,24 +211,33 @@ class TestCommensurable:
         code, out, _ = run(capsys, "commensurable", triple(-1, -1), triple(-1, -1, d=5))
         assert code == 0 and out == "commensurable: no (fields differ)\n"
 
-    def test_triple_reason_reads_the_verdict(self, capsys, monkeypatch):
-        import quathyp.algebras
-        import quathyp.cli
-
-        calls = []
-        inner = quathyp.algebras.ramification_set
-
-        def counted(D):
-            calls.append(D)
-            return inner(D)
-
+    def test_triple_reason_reads_the_verdict(self, capsys, ramification_calls):
         # one ramification set per triple, both built by triples_equivalent;
         # the reason follows from the verdict and builds none
-        monkeypatch.setattr(quathyp.cli, "ramification_set", counted)
-        monkeypatch.setattr(quathyp.algebras, "ramification_set", counted)
         code, out, _ = run(capsys, "commensurable", triple(-1, -1), triple(-1, -3))
         assert code == 0 and out == "commensurable: no (ramification sets differ)\n"
-        assert len(calls) == 2
+        assert len(ramification_calls) == 2
+
+    def test_descriptor_reasons_over_a_quadratic_field(self, capsys, ramification_calls):
+        """A negative nonsplit verdict at one field and rank names its reason
+        from the Galois images of the two ramification sets: one set per
+        algebra for the verdict and one per algebra for the reason."""
+
+        def amb(a1, b):  # <1, 1, -sqrt(5)> is indefinite at inf_0 only
+            return (
+                '{"kind": "nonsplit", "form": {"field": {"base": "quadratic", "d": 5}, '
+                f'"algebra": {{"a": {{"a0": -4, "a1": {a1}}}, "b": {b}}}, '
+                '"coeffs": [1, 1, {"a1": -1}]}}'
+            )
+
+        # the conjugate algebra: isomorphic only under the conjugation,
+        # which moves the distinguished place
+        code, out, _ = run(capsys, "commensurable", amb(-1, -1), amb(1, -1))
+        assert code == 0 and out == "commensurable: no (signatures differ at a real place)\n"
+        assert len(ramification_calls) == 4
+        code, out, _ = run(capsys, "commensurable", amb(-1, -1), amb(-1, -3))
+        assert code == 0 and out == "commensurable: no (ramification sets differ)\n"
+        assert len(ramification_calls) == 8
 
 
 class TestAdmissible:

@@ -1,10 +1,13 @@
 """Tests for admissible triples, canonical forms, and commensurability."""
 
+import random
+
 import pytest
 
 from quathyp.algebras import (
     algebras_isomorphic,
     conjugate_algebra,
+    is_division,
     quaternion_algebra,
     ramification_set,
 )
@@ -32,7 +35,11 @@ from quathyp.errors import (
     UnsupportedRankError,
 )
 from quathyp.fields import QQ, Field, places_above
-from quathyp.hermitian import hermitian_form, signature_at_ramified
+from quathyp.hermitian import hermitian_form, hermitian_isometric, signature_at_ramified
+from quathyp.quadratic import diagonal_form
+from quathyp.subspaces import ComplexRestrictionData, embeds_complex, embeds_real
+
+from oracles import nonsplit_commensurable_by_images, triples_equivalent_by_images
 
 
 def rational_triple(a, b):
@@ -347,3 +354,127 @@ class TestGeneralCnCommensurability:
             canonical_hermitian(AdmissibleTriple(k, v1, Hk), 2)
         )
         assert general_cn_commensurable(d0, d1)
+
+
+def _element(rng, field, bound):
+    """A nonzero element whose coordinates are integers of size at most bound."""
+    while True:
+        a1 = 0 if field.is_rational else rng.randint(-bound, bound)
+        x = field.element(rng.randint(-bound, bound), a1)
+        if x:
+            return x
+
+
+def _algebra(rng, field, division=False):
+    while True:
+        D = quaternion_algebra(field, _element(rng, field, 12), _element(rng, field, 12))
+        if is_division(D) or not division:
+            return D
+
+
+def _presented_again(rng, D, coeffs):
+    """(tau, E, image): the algebra tau(D) with parameters scaled by
+    squares and perhaps swapped, and the coefficients moved by tau,
+    scaled by one element and shuffled.  The class stays the same up to
+    tau."""
+    field = D.field
+    tau = rng.choice(field_automorphisms(field))
+    E = algebra_image(tau, D)
+    x, y, s = (_element(rng, field, 4) for _ in range(3))
+    params = [E.a * x * x, E.b * y * y]
+    rng.shuffle(params)
+    image = [s * (c if tau == IDENTITY else c.conjugate()) for c in coeffs]
+    rng.shuffle(image)
+    return tau, quaternion_algebra(field, *params), image
+
+
+PAIR_FIELDS = (QQ, Field(5), Field(3), Field(6), Field(17))
+
+
+class TestGaloisImageRoute:
+    """The decisions compare Galois images of ramification sets; the
+    oracle builds tau(D2) as an algebra for each automorphism tau and
+    reads signatures through ``signature_at_ramified``.  Over Q(sqrt(17))
+    2 splits, so conjugation swaps the two dyadic places."""
+
+    @pytest.mark.parametrize("field", PAIR_FIELDS, ids=str)
+    def test_general_cn_commensurable_matches_the_oracle(self, field):
+        rng = random.Random(f"general-cn:{field}")
+        verdicts = []
+        for _ in range(8):
+            D = _algebra(rng, field, division=True)
+            coeffs = [_element(rng, field, 9) for _ in range(3)]
+            _, E, image = _presented_again(rng, D, coeffs)
+            other = [_element(rng, field, 9) for _ in range(3)]
+            d1 = OrbifoldClassDescriptor.nonsplit(hermitian_form(D, *coeffs))
+            for D2, c2 in ((E, image), (_algebra(rng, field, division=True), image), (E, other)):
+                d2 = OrbifoldClassDescriptor.nonsplit(hermitian_form(D2, *c2))
+                got = general_cn_commensurable(d1, d2)
+                assert got == nonsplit_commensurable_by_images(d1, d2), (str(d1.form), str(d2.form))
+                verdicts.append(got)
+        assert verdicts[::3] == [True] * 8
+        assert False in verdicts
+
+    @pytest.mark.parametrize("field", PAIR_FIELDS, ids=str)
+    def test_triples_equivalent_matches_the_oracle(self, field):
+        rng = random.Random(f"triples:{field}")
+        verdicts = []
+        for _ in range(8):
+            D = _algebra(rng, field)
+            v0 = rng.choice(field.real_places())
+            tau, E, _ = _presented_again(rng, D, [])
+            t1 = AdmissibleTriple(field, v0, D)
+            moved = AdmissibleTriple(field, place_image(tau, v0), E)
+            for t2 in (
+                moved,
+                AdmissibleTriple(field, v0, _algebra(rng, field)),
+                AdmissibleTriple(field, place_image(CONJUGATION, v0), E),
+            ):
+                got = triples_equivalent(t1, t2)
+                assert got == triples_equivalent_by_images(t1, t2), (str(t1), str(t2))
+                verdicts.append(got)
+        assert verdicts[::3] == [True] * 8
+        assert False in verdicts
+
+
+class TestRamificationSetsPerDecision:
+    """Each decision builds each algebra's ramification set at most once."""
+
+    @staticmethod
+    def _pairs():
+        # D ramifies at one place over 11, its conjugate at the other
+        k = Field(5)
+        v0, v1 = k.real_places()
+        D = quaternion_algebra(k, k.element(-4, -1), k.element(-1))
+        first = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(AdmissibleTriple(k, v0, D), 2))
+        for t, expected in (
+            (AdmissibleTriple(k, v1, conjugate_algebra(D)), True),
+            (AdmissibleTriple(k, v0, conjugate_algebra(D)), False),
+            (AdmissibleTriple(k, v1, D), False),
+            (AdmissibleTriple(k, v0, hamilton_over(k)), False),
+        ):
+            yield first, OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2)), expected
+
+    @pytest.mark.parametrize("decide", [general_cn_commensurable, quaternionic_commensurable])
+    def test_commensurability_over_a_quadratic_field(self, decide, ramification_calls):
+        for d1, d2, expected in self._pairs():
+            ramification_calls.clear()
+            assert decide(d1, d2) is expected
+            assert len(ramification_calls) <= 2
+
+    def test_hermitian_isometry_over_one_algebra(self, ramification_calls):
+        k = Field(5)
+        h1 = hermitian_form(hamilton_over(k), k.one, k.one, -k.sqrt_d)
+        h2 = hermitian_form(hamilton_over(k), k.element(4), k.one, -k.sqrt_d)
+        assert hermitian_isometric(h1, h2)
+        assert ramification_calls == []
+
+    def test_embeddings(self, ramification_calls):
+        t = rational_triple(-1, -1)
+        ambient = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2))
+        assert embeds_real(diagonal_form(QQ, 1, 1, -3), ambient).embeds
+        assert ramification_calls == []
+        # only the subfield test needs the finite ramified places
+        data = ComplexRestrictionData(QQ.element(-1), tuple(ambient.form.coeffs))
+        assert embeds_complex(data, ambient).embeds
+        assert len(ramification_calls) == 1
