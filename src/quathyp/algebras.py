@@ -8,28 +8,27 @@ membership of quadratic extensions among its maximal subfields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import FieldMismatchError, SquareArgumentError
 from .fields import Field, FieldElement, Place, is_global_square, is_local_square
 from .quadratic import QuadraticForm
+from .records import Record, set_field
 from .symbols import hilbert_symbol, symbol_support
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(Record):
     """The quaternion algebra with parameters a, b over its field."""
 
-    field: Field
-    a: FieldElement
-    b: FieldElement
+    __slots__ = ("field", "a", "b")
 
-    def __post_init__(self):
-        for name, x in (("a", self.a), ("b", self.b)):
-            if not isinstance(x, FieldElement) or x.field != self.field:
-                raise FieldMismatchError(f"parameter {name} is not over {self.field}")
+    def __init__(self, field: Field, a: FieldElement, b: FieldElement):
+        for name, x in (("a", a), ("b", b)):
+            if not isinstance(x, FieldElement) or x.field != field:
+                raise FieldMismatchError(f"parameter {name} is not over {field}")
             if not x:
                 raise ValueError(f"parameter {name} must be nonzero")
+        set_field(self, "field", field)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b} / {self.field})"

@@ -26,12 +26,9 @@ from .commensurability import (
     triples_equivalent,
 )
 from .errors import DescriptorError, QuathypError
+from .fields import real_signature
 from .geometry import geometry_report
-from .hermitian import (
-    hermitian_isometric,
-    signature_at_ramified,
-    trace_form,
-)
+from .hermitian import hermitian_isometric, trace_form
 from .quadratic import (
     forms_isometric,
     form_support,
@@ -122,7 +119,7 @@ def _cmd_invariants(args):
         kind = "hermitian"
         header = f"trace-form invariants of {h}"
         sig = {
-            serialize.place_to_str(v): list(signature_at_ramified(h, v))
+            serialize.place_to_str(v): list(real_signature(h.coeffs, v))
             for v in ramified_real_places(h.algebra)
         }
     else:

@@ -12,11 +12,8 @@ criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import (
     QuaternionAlgebra,
-    conjugate_algebra,
     is_division,
     ramification_set,
     ramified_real_places,
@@ -28,6 +25,7 @@ from .errors import (
 )
 from .fields import Field, Place, conjugate_place, real_signature
 from .hermitian import HermitianForm
+from .records import Record, set_field
 
 IDENTITY = "id"
 CONJUGATION = "conj"
@@ -45,18 +43,6 @@ def place_image(tau: str, v: Place) -> Place:
     return v if tau == IDENTITY else conjugate_place(v)
 
 
-def algebra_image(tau: str, D: QuaternionAlgebra) -> QuaternionAlgebra:
-    return D if tau == IDENTITY else conjugate_algebra(D)
-
-
-def hermitian_image(tau: str, h: HermitianForm) -> HermitianForm:
-    if tau == IDENTITY:
-        return h
-    return HermitianForm(
-        conjugate_algebra(h.algebra), tuple(c.conjugate() for c in h.coeffs)
-    )
-
-
 def matching_automorphisms(D1: QuaternionAlgebra, D2: QuaternionAlgebra) -> tuple[str, ...]:
     """The field automorphisms tau with D1 isomorphic to tau(D2).
 
@@ -71,20 +57,20 @@ def matching_automorphisms(D1: QuaternionAlgebra, D2: QuaternionAlgebra) -> tupl
     )
 
 
-@dataclass(frozen=True)
-class AdmissibleTriple:
+class AdmissibleTriple(Record):
     """(field, distinguished real place, algebra); admissibility itself
     (all real places ramified) is decided by :func:`is_admissible`."""
 
-    field: Field
-    v0: Place
-    algebra: QuaternionAlgebra
+    __slots__ = ("field", "v0", "algebra")
 
-    def __post_init__(self):
-        if not self.v0.is_real or self.v0.field != self.field:
-            raise ValueError(f"v0 must be a real place of {self.field}")
-        if self.algebra.field != self.field:
+    def __init__(self, field: Field, v0: Place, algebra: QuaternionAlgebra):
+        if not v0.is_real or v0.field != field:
+            raise ValueError(f"v0 must be a real place of {field}")
+        if algebra.field != field:
             raise ValueError("algebra and triple must share the field")
+        set_field(self, "field", field)
+        set_field(self, "v0", v0)
+        set_field(self, "algebra", algebra)
 
     def __str__(self) -> str:
         return f"({self.field}, {self.v0}, {self.algebra})"
@@ -136,15 +122,23 @@ def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
     return h
 
 
-@dataclass(frozen=True)
-class OrbifoldClassDescriptor:
+class OrbifoldClassDescriptor(Record):
     """A commensurability-class descriptor: split type carries (field, n),
     nonsplit type carries a Hermitian form over a division algebra."""
 
-    kind: str
-    field: Field | None = None
-    rank: int | None = None
-    form: HermitianForm | None = None
+    __slots__ = ("kind", "field", "rank", "form")
+
+    def __init__(
+        self,
+        kind: str,
+        field: Field | None = None,
+        rank: int | None = None,
+        form: HermitianForm | None = None,
+    ):
+        set_field(self, "kind", kind)
+        set_field(self, "field", field)
+        set_field(self, "rank", rank)
+        set_field(self, "form", form)
 
     @classmethod
     def split(cls, field: Field, n: int) -> "OrbifoldClassDescriptor":

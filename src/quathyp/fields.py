@@ -23,7 +23,6 @@ its class, and the 8 unit classes are labeled once per field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -42,22 +41,28 @@ from .numtheory import (
     val,
     val_fraction,
 )
+from .records import Record, set_field
 
 Rationalish = Union[int, Fraction, str]
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Q (``d is None``) or the real quadratic field Q(sqrt(d))."""
 
-    d: int | None = None
+    __slots__ = ("d",)
 
-    def __post_init__(self):
-        if self.d is not None:
-            if self.d <= 1:
+    def __init__(self, d: int | None = None):
+        if d is not None:
+            if d <= 1:
                 raise ValueError("d must be an integer > 1")
-            if squarefree_part(self.d) != self.d:
-                raise ValueError(f"d = {self.d} is not squarefree")
+            if squarefree_part(d) != d:
+                raise ValueError(f"d = {d} is not squarefree")
+        set_field(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.d == other.d
+        return NotImplemented
 
     def __hash__(self) -> int:
         # not hash(None), an address in CPython 3.11: sets of places keep one order
@@ -121,13 +126,23 @@ def _coerce(field: Field, other) -> "FieldElement":
     return NotImplemented
 
 
-@dataclass(frozen=True)
-class FieldElement:
+class FieldElement(Record):
     """An exact element a0 + a1*sqrt(d) of its field (a1 = 0 over Q)."""
 
-    field: Field
-    a0: Fraction
-    a1: Fraction
+    __slots__ = ("field", "a0", "a1")
+
+    def __init__(self, field: Field, a0: Fraction, a1: Fraction):
+        set_field(self, "field", field)
+        set_field(self, "a0", a0)
+        set_field(self, "a1", a1)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.a0, self.a1) == (other.field, other.a0, other.a1)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.a0, self.a1))
 
     def __bool__(self) -> bool:
         return self.a0 != 0 or self.a1 != 0
@@ -242,8 +257,7 @@ RATIONAL = "rational"  # the single place of Q over p
 _POSITION_ORDER = {RATIONAL: 0, SPLIT_FIRST: 0, SPLIT_SECOND: 1, INERT: 0, RAMIFIED: 0}
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A place of the base field.
 
     Real places carry the embedding index (0: sqrt(d) -> +sqrt(d),
@@ -251,11 +265,26 @@ class Place:
     below them and their position over p.
     """
 
-    field: Field
-    kind: str  # "real" | "finite"
-    embedding: int = 0
-    p: int = 0
-    position: str = RATIONAL
+    __slots__ = ("field", "kind", "embedding", "p", "position")
+
+    def __init__(
+        self, field: Field, kind: str, embedding: int = 0, p: int = 0, position: str = RATIONAL
+    ):
+        set_field(self, "field", field)
+        set_field(self, "kind", kind)  # "real" | "finite"
+        set_field(self, "embedding", embedding)
+        set_field(self, "p", p)
+        set_field(self, "position", position)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.kind, self.embedding, self.p, self.position) == (
+                other.field, other.kind, other.embedding, other.p, other.position
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.field, self.kind, self.embedding, self.p, self.position))
 
     @classmethod
     def real(cls, field: Field, embedding: int = 0) -> "Place":

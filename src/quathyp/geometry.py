@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .records import Record, set_field
 
 
 def _lazy_import(name: str):
@@ -86,8 +88,9 @@ def _hamilton(p, q, mul) -> np.ndarray:
     """Hamilton product of quaternion arrays (components on the last
     axis), with ``mul`` combining components: ``np.multiply`` for
     entrywise products, ``np.matmul`` for quaternion matrices."""
-    w1, x1, y1, z1 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    w1, x1, y1, z1 = (p[..., k] for k in range(4))
+    w2, x2, y2, z2 = (q[..., k] for k in range(4))
     return np.stack(
         [
             mul(w1, w2) - mul(x1, x2) - mul(y1, y2) - mul(z1, z2),
@@ -116,7 +119,8 @@ def mat_mul(A, B) -> np.ndarray:
 
 
 def mat_conj_transpose(A) -> np.ndarray:
-    return np.swapaxes(quat_conj(np.asarray(A, float)), 0, 1)
+    """conj(A)^T, for one quaternion matrix or a stack of them."""
+    return np.swapaxes(quat_conj(np.asarray(A, float)), -3, -2)
 
 
 @lru_cache(maxsize=None)
@@ -137,14 +141,37 @@ def form_matrix(m: int) -> np.ndarray:
 # the Hermitian pairing, distance, metric
 
 
+def _vectors(*vs) -> list[np.ndarray]:
+    """The vectors as float arrays, checked to share one shape (m+1, 4)."""
+    out = [np.asarray(v, dtype=float) for v in vs]
+    if any(v.shape != out[0].shape for v in out) or out[0].ndim != 2 or out[0].shape[-1] != 4:
+        raise ValueError("vectors must share shape (m+1, 4)")
+    return out
+
+
+def _pairing(v, w) -> np.ndarray:
+    """`form_h` over leading axes, without the shape check."""
+    terms = quat_mul(quat_conj(v), w)
+    return terms[..., :-1, :].sum(axis=-2) - terms[..., -1, :]
+
+
 def form_h(v, w) -> np.ndarray:
     """h(v, w) = sum_i conj(v_i) w_i - conj(v_last) w_last."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != w.shape or v.ndim != 2 or v.shape[-1] != 4:
-        raise ValueError("vectors must share shape (m+1, 4)")
-    terms = quat_mul(quat_conj(v), w)
-    return terms[:-1].sum(axis=0) - terms[-1]
+    return _pairing(*_vectors(v, w))
+
+
+def _distances(v1, v2) -> np.ndarray:
+    """`distance` over leading axes, without the shape check."""
+    h11 = _pairing(v1, v1)[..., 0]
+    h22 = _pairing(v2, v2)[..., 0]
+    if np.any(h11 >= 0.0) or np.any(h22 >= 0.0):
+        raise ValueError("distance is defined only between negative vectors")
+    h12 = _pairing(v1, v2)
+    arg = (h12 * h12).sum(axis=-1) / (h11 * h22)
+    if np.any(arg < 1.0 - CLAMP_TOLERANCE):
+        raise ValueError(f"distance argument {arg.min()} below 1 beyond tolerance")
+    far = arg > 1.0 + ZERO_BAND
+    return np.where(far, 2.0 * np.arccosh(np.sqrt(np.where(far, arg, 1.0))), 0.0)
 
 
 def distance(v1, v2) -> float:
@@ -158,27 +185,22 @@ def distance(v1, v2) -> float:
     collapse to 1: lines closer than roughly 1e-7 read as distance 0 instead
     of as the square root of noise.
     """
-    h11 = float(form_h(v1, v1)[0])
-    h22 = float(form_h(v2, v2)[0])
-    if h11 >= 0.0 or h22 >= 0.0:
-        raise ValueError("distance is defined only between negative vectors")
-    h12 = form_h(v1, v2)
-    arg = float((h12 * h12).sum()) / (h11 * h22)
-    if arg < 1.0 - CLAMP_TOLERANCE:
-        raise ValueError(f"distance argument {arg} below 1 beyond tolerance")
-    if arg <= 1.0 + ZERO_BAND:
-        return 0.0
-    return 2.0 * math.acosh(math.sqrt(arg))
+    return float(_distances(*_vectors(v1, v2)))
+
+
+def _metric(v, w1, w2) -> np.ndarray:
+    """`metric_at` over leading axes of w1 and w2, without the shape check."""
+    hvv = float(_pairing(v, v)[0])
+    if hvv >= 0.0:
+        raise ValueError("metric is defined only at negative vectors")
+    value = hvv * _pairing(w1, w2) - quat_mul(_pairing(w1, v), _pairing(v, w2))
+    return -4.0 * value / (hvv * hvv)
 
 
 def metric_at(v, w1, w2) -> np.ndarray:
     """The Hermitian metric value -4 (h(v,v) h(w1,w2) - h(w1,v) h(v,w2))
     / h(v,v)^2 at the line of v; its real part is the Riemannian metric."""
-    hvv = float(form_h(v, v)[0])
-    if hvv >= 0.0:
-        raise ValueError("metric is defined only at negative vectors")
-    value = hvv * form_h(w1, w2) - quat_mul(form_h(w1, v), form_h(v, w2))
-    return -4.0 * value / (hvv * hvv)
+    return _metric(*_vectors(v, w1, w2))
 
 
 def base_point(m: int) -> np.ndarray:
@@ -216,8 +238,9 @@ def ball_point_to_line(entries) -> np.ndarray:
 
 
 def sp_dev(A) -> float:
-    """Max-entry deviation of conj(A)^T H A from H."""
-    n = A.shape[0]
+    """Max-entry deviation of conj(A)^T H A from H, over a stack of
+    matrices too."""
+    n = A.shape[-2]
     H = form_matrix(n - 1)
     lhs = mat_mul(mat_conj_transpose(A), mat_mul(H, A))
     return float(np.abs(lhs - H).max())
@@ -236,7 +259,9 @@ def sp_check(A) -> bool:
 
 
 def lie_algebra_dev(A) -> float:
-    n = A.shape[0]
+    """Max-entry deviation of H conj(A)^T H + A from 0, over a stack of
+    matrices too."""
+    n = A.shape[-2]
     H = form_matrix(n - 1)
     lhs = mat_mul(H, mat_mul(mat_conj_transpose(A), H)) + A
     return float(np.abs(lhs).max())
@@ -248,24 +273,25 @@ def lie_algebra_check(A) -> bool:
 
 
 def to_complex_matrix(A) -> np.ndarray:
-    """Standard 2x2-complex-block image of a quaternion matrix."""
+    """Standard 2x2-complex-block image of a quaternion matrix (of each
+    matrix in a stack)."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    n = A.shape[-2]
     a = A[..., 0] + 1j * A[..., 1]
     b = A[..., 2] + 1j * A[..., 3]
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    out[0::2, 0::2] = a
-    out[0::2, 1::2] = b
-    out[1::2, 0::2] = -b.conj()
-    out[1::2, 1::2] = a.conj()
+    out = np.empty(A.shape[:-3] + (2 * n, 2 * n), dtype=complex)
+    out[..., 0::2, 0::2] = a
+    out[..., 0::2, 1::2] = b
+    out[..., 1::2, 0::2] = -b.conj()
+    out[..., 1::2, 1::2] = a.conj()
     return out
 
 
 def from_complex_matrix(M) -> np.ndarray:
-    n = M.shape[0] // 2
-    a = M[0::2, 0::2]
-    b = M[0::2, 1::2]
-    out = np.empty((n, n, 4))
+    n = M.shape[-1] // 2
+    a = M[..., 0::2, 0::2]
+    b = M[..., 0::2, 1::2]
+    out = np.empty(M.shape[:-2] + (n, n, 4))
     out[..., 0] = a.real
     out[..., 1] = a.imag
     out[..., 2] = b.real
@@ -274,39 +300,50 @@ def from_complex_matrix(M) -> np.ndarray:
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
-    """exp of a complex square matrix by scaling and squaring (Higham,
-    *Functions of Matrices*, Ch. 10): scale to 1-norm <= 1/2, sum the
-    Taylor series to degree 18, square back."""
-    norm = float(np.abs(M).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
+    """exp of a complex square matrix (of each matrix in a stack) by
+    scaling and squaring (Higham, *Functions of Matrices*, Ch. 10): scale
+    to 1-norm <= 1/2, sum the Taylor series to degree 18, square back."""
+    norm = np.abs(M).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norm)):
         raise ValueError("matrix exponential of a non-finite matrix")
-    squarings = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
-    X = M / 2.0**squarings
-    term = np.eye(M.shape[0], dtype=complex)
+    squarings = np.where(norm > 0.5, np.ceil(np.log2(np.maximum(2.0 * norm, 1.0))), 0.0)
+    X = M / (2.0**squarings)[..., None, None]
+    term = np.broadcast_to(np.eye(M.shape[-1], dtype=complex), M.shape)
     out = term.copy()
     for k in range(1, 19):
         term = term @ X / k
         out += term
-    for _ in range(squarings):
-        out = out @ out
+    for k in range(int(squarings.max(initial=0.0))):
+        out = np.where((k < squarings)[..., None, None], out @ out, out)
     return out
 
 
 def matrix_exp(A) -> np.ndarray:
-    """exp of a quaternion matrix through its complex representation."""
+    """exp of a quaternion matrix (of each matrix in a stack) through its
+    complex representation."""
     return from_complex_matrix(_expm(to_complex_matrix(A)))
+
+
+def _gaussians(rng: random.Random, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normal samples of the given shape from ``rng``."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+
+
+def _random_sp_elements(m: int, seeds) -> np.ndarray:
+    """`random_sp_element` for each seed, as one stack."""
+    B = 0.4 * np.stack([_gaussians(random.Random(seed), (m + 1, m + 1, 4)) for seed in seeds])
+    H = form_matrix(m)
+    X = 0.5 * (B - mat_mul(H, mat_mul(mat_conj_transpose(B), H)))
+    return matrix_exp(X)
 
 
 def random_sp_element(m: int, seed: int) -> np.ndarray:
     """A reproducible pseudo-random isometry: exp of the anti-self-adjoint
-    (with respect to h) projection of a Gaussian quaternion matrix."""
+    (with respect to h) projection of a Gaussian quaternion matrix drawn
+    from ``random.Random(seed)``."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    rng = np.random.default_rng(seed)
-    B = 0.4 * rng.standard_normal((m + 1, m + 1, 4))
-    H = form_matrix(m)
-    X = 0.5 * (B - mat_mul(H, mat_mul(mat_conj_transpose(B), H)))
-    return matrix_exp(X)
+    return _random_sp_elements(m, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,35 +449,36 @@ def killing_value(A, B, m: int) -> float:
     B = np.asarray(B, dtype=float)
     if A.shape != (m + 1, m + 1, 4) or B.shape != A.shape:
         raise ValueError(f"expected two ({m + 1}, {m + 1}, 4) quaternion matrices")
-    trace = np.einsum("ij,ji->", to_complex_matrix(A), to_complex_matrix(B))
-    return (2 * m + 4) * float(trace.real)
+    return float(_killing(A, B, m))
+
+
+def _killing(A, B, m: int) -> np.ndarray:
+    """`killing_value` over leading axes, without the shape check."""
+    trace = np.einsum("...ij,...ji->...", to_complex_matrix(A), to_complex_matrix(B))
+    return (2 * m + 4) * trace.real
 
 
 def tangent_of_corner(X, m: int) -> np.ndarray:
     """The tangent vector at the base point matching an off-corner
-    generator: its last column with the final entry dropped to 0."""
-    w = np.zeros((m + 1, 4))
-    w[:m] = np.asarray(X, dtype=float)[:m, m]
+    generator (each generator of a stack): its last column with the final
+    entry dropped to 0."""
+    X = np.asarray(X, dtype=float)
+    w = np.zeros(X.shape[:-3] + (m + 1, 4))
+    w[..., :m, :] = X[..., :m, m, :]
     return w
 
 
 def killing_metric_ratios(m: int, samples: int, seed: int) -> np.ndarray:
     """Killing-to-metric ratios kappa(X,X)/g(w,w) for random horizontal
-    directions at the base point."""
+    directions at the base point, drawn from ``random.Random(seed)``."""
     if m < 2:
         raise ValueError("the ratio needs m >= 2")
-    rng = np.random.default_rng(seed)
-    base = base_point(m)
-    out = np.empty(samples)
-    for s in range(samples):
-        alphas = rng.standard_normal((m, 4))
-        X = np.zeros((m + 1, m + 1, 4))
-        X[:m, m] = alphas
-        X[m, :m] = quat_conj(alphas)
-        w = tangent_of_corner(X, m)
-        g = float(metric_at(base, w, w)[0])
-        out[s] = killing_value(X, X, m) / g
-    return out
+    alphas = _gaussians(random.Random(seed), (samples, m, 4))
+    X = np.zeros((samples, m + 1, m + 1, 4))
+    X[:, :m, m] = alphas
+    X[:, m, :m] = quat_conj(alphas)
+    w = tangent_of_corner(X, m)
+    return _killing(X, X, m) / _metric(base_point(m), w, w)[:, 0]
 
 
 #: g(w, w) for the unit corner direction w at the base point
@@ -488,22 +526,24 @@ def h0(v, w) -> np.ndarray:
     return quat_mul(quat_conj(v), w).sum(axis=0)
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceSpan:
+class SubspaceSpan(Record):
     """A real-linear subspace of the tangent space H^m, given by
-    spanning vectors of shape (k, m, 4), linearly independent over R."""
+    spanning vectors of shape (k, m, 4), linearly independent over R.
+    Spans compare by identity."""
 
-    vectors: np.ndarray
+    __slots__ = ("vectors",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        arr = np.asarray(self.vectors, dtype=float)
+    def __init__(self, vectors: np.ndarray):
+        arr = np.asarray(vectors, dtype=float)
         if arr.ndim != 3 or arr.shape[-1] != 4 or arr.shape[0] == 0:
             raise ValueError("expected spanning vectors of shape (k, m, 4)")
-        object.__setattr__(self, "vectors", arr)
         flat = arr.reshape(arr.shape[0], -1)
         s = np.linalg.svd(flat, compute_uv=False)
         if s[-1] <= SPAN_TOLERANCE * max(1.0, s[0]):
             raise ValueError("spanning vectors are not independent over R")
+        set_field(self, "vectors", arr)
 
     @property
     def count(self) -> int:
@@ -664,7 +704,7 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         raise ValueError(f"the report needs 2 <= m <= {MAX_REPORT_M}, got m = {m}")
     if samples < 1:
         raise ValueError(f"the report needs at least one sample, got {samples}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     one, i_unit, j_unit, _ = _quat_units()
     checks = []
 
@@ -674,13 +714,13 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
              "passed": bool(passed), "detail": detail}
         )
 
-    basis = lie_basis(m)
+    basis = _cached_basis(m)
     check(
         "basis-count", len(basis), lie_dim(m), len(basis) == lie_dim(m),
         f"{len(basis)} basis elements, expected 2m^2+5m+3 = {lie_dim(m)}",
     )
 
-    member_dev = max(lie_algebra_dev(A) for A in basis)
+    member_dev = lie_algebra_dev(basis)
     check(
         "basis-membership", member_dev, 0.0, member_dev <= GROUP_TOLERANCE,
         f"max defining-identity deviation {member_dev:.2e}",
@@ -715,21 +755,19 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         f"reference 2(m+2) = {ref_ratio:g}",
     )
 
-    inv_dev = 0.0
-    proj_dev = 0.0
-    for trial in range(10):
-        pts = []
-        for _ in range(2):
-            b = rng.standard_normal((m, 4))
-            b *= rng.uniform(0.1, 0.9) / math.sqrt(float((b * b).sum()))
-            pts.append(ball_point_to_line(b))
-        A = random_sp_element(m, seed + 1000 + trial)
-        inv_dev = max(
-            inv_dev,
-            abs(distance(mat_mul(A, pts[0]), mat_mul(A, pts[1])) - distance(*pts)),
-        )
-        alpha = rng.standard_normal(4)
-        proj_dev = max(proj_dev, distance(pts[0], quat_mul(pts[0], alpha)))
+    # ten trials at once: pairs of ball points of radius 0.1..0.9 as lines,
+    # an isometry and a quaternion scalar each
+    trials = 10
+    b = _gaussians(rng, (trials, 2, m, 4))
+    radii = np.array([rng.uniform(0.1, 0.9) for _ in range(2 * trials)]).reshape(trials, 2, 1, 1)
+    pts = np.zeros((trials, 2, m + 1, 4))
+    pts[..., :m, :] = b * radii / np.sqrt((b * b).sum(axis=(-2, -1), keepdims=True))
+    pts[..., m, 0] = 1.0
+    A = _random_sp_elements(m, range(seed + 1000, seed + 1000 + trials))
+    moved = mat_mul(A[:, None], pts[..., None, :])[..., 0, :]
+    inv_dev = _max_abs(_distances(moved[:, 0], moved[:, 1]) - _distances(pts[:, 0], pts[:, 1]))
+    alpha = _gaussians(rng, (trials, 1, 4))
+    proj_dev = _max_abs(_distances(pts[:, 0], quat_mul(pts[:, 0], alpha)))
     check(
         "distance-invariance", inv_dev, 0.0, inv_dev <= INVARIANCE_TOLERANCE,
         f"max change under random isometries {inv_dev:.2e}",
@@ -739,9 +777,7 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         f"max distance between a line and its rescaling {proj_dev:.2e}",
     )
 
-    group_dev = max(
-        sp_dev(random_sp_element(m, seed + 2000 + t)) for t in range(10)
-    )
+    group_dev = sp_dev(_random_sp_elements(m, range(seed + 2000, seed + 2000 + trials)))
     check(
         "group-membership", group_dev, 0.0, group_dev <= GROUP_TOLERANCE,
         f"max form deviation of sampled isometries {group_dev:.2e}",

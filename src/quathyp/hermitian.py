@@ -9,8 +9,6 @@ decision procedures below compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import QuaternionAlgebra, is_division, ramified_real_places
 from .errors import (
     AlgebraMismatchError,
@@ -26,27 +24,26 @@ from .quadratic import (
     forms_isometric,
     isotropic_global,
 )
+from .records import Record, set_field
 from .symbols import hilbert_symbol
 
 
-@dataclass(frozen=True)
-class HermitianForm:
+class HermitianForm(Record):
     """Diagonal Hermitian form <a_1, ..., a_n> over its algebra; the
     entries are central (field) elements."""
 
-    algebra: QuaternionAlgebra
-    coeffs: tuple[FieldElement, ...]
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, algebra: QuaternionAlgebra, coeffs: tuple[FieldElement, ...]):
+        if not coeffs:
             raise ValueError("a Hermitian form needs at least one coefficient")
-        for i, c in enumerate(self.coeffs):
-            if not isinstance(c, FieldElement) or c.field != self.field:
-                raise FieldMismatchError(
-                    f"coefficient {i} is not central for {self.algebra}"
-                )
+        for i, c in enumerate(coeffs):
+            if not isinstance(c, FieldElement) or c.field != algebra.field:
+                raise FieldMismatchError(f"coefficient {i} is not central for {algebra}")
             if not c:
                 raise ValueError(f"coefficient {i} is zero")
+        set_field(self, "algebra", algebra)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def field(self) -> Field:

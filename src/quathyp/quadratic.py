@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatchError, PlaceKindError
@@ -32,24 +31,25 @@ from .fields import (
     real_signature,
 )
 from .numtheory import squarefree_part
+from .records import Record, set_field
 from .symbols import class_symbol, hilbert_symbol, symbol_support
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
+class QuadraticForm(Record):
     """The diagonal form <a_1, ..., a_n> over its field."""
 
-    field: Field
-    coeffs: tuple[FieldElement, ...]
+    __slots__ = ("field", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, field: Field, coeffs: tuple[FieldElement, ...]):
+        if not coeffs:
             raise ValueError("a quadratic form needs at least one coefficient")
-        for i, c in enumerate(self.coeffs):
-            if not isinstance(c, FieldElement) or c.field != self.field:
-                raise FieldMismatchError(f"coefficient {i} is not over {self.field}")
+        for i, c in enumerate(coeffs):
+            if not isinstance(c, FieldElement) or c.field != field:
+                raise FieldMismatchError(f"coefficient {i} is not over {field}")
             if not c:
                 raise ValueError(f"coefficient {i} is zero")
+        set_field(self, "field", field)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def dim(self) -> int:
@@ -82,15 +82,19 @@ def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
     return QuadraticForm(q1.field, q1.coeffs + q2.coeffs)
 
 
-@dataclass(frozen=True)
-class LocalQuadInvariants:
+class LocalQuadInvariants(Record):
     """dim, det square class and Hasse invariant at one place (plus the
     signature when the place is real)."""
 
-    dim: int
-    det_class: FieldElement
-    hasse: int
-    signature: tuple[int, int] | None = None
+    __slots__ = ("dim", "det_class", "hasse", "signature")
+
+    def __init__(
+        self, dim: int, det_class: FieldElement, hasse: int, signature: tuple[int, int] | None = None
+    ):
+        set_field(self, "dim", dim)
+        set_field(self, "det_class", det_class)
+        set_field(self, "hasse", hasse)
+        set_field(self, "signature", signature)
 
 
 def square_class_rep(x: FieldElement) -> FieldElement:

@@ -14,8 +14,6 @@ triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import QuaternionAlgebra, subfield_embeds
 from .commensurability import (
     AdmissibleTriple,
@@ -32,9 +30,10 @@ from .errors import (
     SquareArgumentError,
     SubfieldEmbeddingError,
 )
-from .fields import FieldElement, real_signature
+from .fields import FieldElement, is_global_square, real_signature
 from .hermitian import HermitianForm, hermitian_isometric
 from .quadratic import QuadraticForm, isotropic_global
+from .records import Record, set_field
 
 #: largest coefficient multiplier tried by :func:`surface_witness`
 LADDER_BOUND = 100
@@ -57,46 +56,33 @@ def subform(h: HermitianForm, indices) -> HermitianForm:
     return HermitianForm(h.algebra, tuple(h.coeffs[i] for i in picked))
 
 
-def finite_volume_flag(h: HermitianForm) -> bool:
-    """Whether the subspace cut out by ``h`` is a nonflat piece of
-    positive dimension with finite covolume: dimension at least 2 and
-    indefinite (hence isotropic) at some real place."""
-    if h.dim < 2:
-        return False
-    return any(0 not in real_signature(h.coeffs, v) for v in h.field.real_places())
-
-
 def restriction_real(h: HermitianForm) -> QuadraticForm:
     """Restrict scalars to the center: the quadratic form over the base
     field with exactly h's coefficients."""
     return QuadraticForm(h.field, h.coeffs)
 
 
-@dataclass(frozen=True)
-class ComplexRestrictionData:
+class ComplexRestrictionData(Record):
     """A Hermitian form over the quadratic subfield k(sqrt(c)) of a
     quaternion algebra, recorded as the subfield generator together with
     the (base-field) diagonal coefficients."""
 
-    c: FieldElement
-    coeffs: tuple[FieldElement, ...]
+    __slots__ = ("c", "coeffs")
 
-    def __post_init__(self):
-        from .fields import is_global_square
-
-        if not self.c:
+    def __init__(self, c: FieldElement, coeffs: tuple[FieldElement, ...]):
+        if not c:
             raise ValueError("subfield generator must be nonzero")
-        if is_global_square(self.c):
-            raise SquareArgumentError(
-                f"{self.c} is a square; k(sqrt(c)) would not be quadratic"
-            )
-        if not self.coeffs:
+        if is_global_square(c):
+            raise SquareArgumentError(f"{c} is a square; k(sqrt(c)) would not be quadratic")
+        if not coeffs:
             raise ValueError("coefficient list is empty")
-        for x in self.coeffs:
-            if x.field != self.c.field:
+        for x in coeffs:
+            if x.field != c.field:
                 raise FieldMismatchError("coefficients and generator share a field")
             if not x:
                 raise ValueError("coefficients must be nonzero")
+        set_field(self, "c", c)
+        set_field(self, "coeffs", coeffs)
 
     @property
     def field(self):
@@ -148,21 +134,23 @@ def extend_complex(data: ComplexRestrictionData, D: QuaternionAlgebra) -> Hermit
     return HermitianForm(D, data.coeffs)
 
 
-@dataclass(frozen=True)
-class EmbeddingVerdict:
+class EmbeddingVerdict(Record):
     """Outcome of an embedding decision.  A positive verdict always
     carries the ambient-isometric extension as its witness; a negative
     one names the condition that failed."""
 
-    embeds: bool
-    witness: HermitianForm | None = None
-    failed_condition: str | None = None
+    __slots__ = ("embeds", "witness", "failed_condition")
 
-    def __post_init__(self):
-        if self.embeds and self.witness is None:
+    def __init__(
+        self, embeds: bool, witness: HermitianForm | None = None, failed_condition: str | None = None
+    ):
+        if embeds and witness is None:
             raise ValueError("positive verdicts must carry a witness")
-        if not self.embeds and not self.failed_condition:
+        if not embeds and not failed_condition:
             raise ValueError("negative verdicts must name the failed condition")
+        set_field(self, "embeds", embeds)
+        set_field(self, "witness", witness)
+        set_field(self, "failed_condition", failed_condition)
 
 
 def _check_hyperbolic_signatures(coeffs, t: AdmissibleTriple, dim: int) -> None:

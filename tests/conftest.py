@@ -5,24 +5,34 @@ import sys
 import pytest
 
 import quathyp.algebras
-import quathyp.cli  # loads every module that binds ramification_set
+import quathyp.cli  # loads every module that binds the counted functions
+import quathyp.symbols
+
+
+def _count_calls(monkeypatch, inner):
+    """The argument tuples of the calls made to ``inner`` while the test
+    runs.  The modules import library functions by name, so every binding
+    of ``inner`` in a quathyp module is replaced by one counting wrapper."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quathyp" and getattr(module, inner.__name__, None) is inner:
+            monkeypatch.setattr(module, inner.__name__, counted)
+    return calls
 
 
 @pytest.fixture
 def ramification_calls(monkeypatch):
-    """The algebras whose ramification set is built while the test runs.
+    """The calls building a ramification set while the test runs."""
+    return _count_calls(monkeypatch, quathyp.algebras.ramification_set)
 
-    The modules import ``ramification_set`` by name, so every binding of
-    it in a quathyp module is replaced by one counting wrapper.
-    """
-    inner = quathyp.algebras.ramification_set
-    calls = []
 
-    def counted(D):
-        calls.append(D)
-        return inner(D)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "quathyp" and getattr(module, "ramification_set", None) is inner:
-            monkeypatch.setattr(module, "ramification_set", counted)
-    return calls
+@pytest.fixture
+def hilbert_calls(monkeypatch):
+    """The Hilbert symbols evaluated by name while the test runs (not the
+    ones that Hasse invariants read off square-class keys)."""
+    return _count_calls(monkeypatch, quathyp.symbols.hilbert_symbol)

@@ -33,10 +33,10 @@ import numpy as np
 import sympy
 
 import quathyp.geometry as geo
-from quathyp.algebras import algebras_isomorphic, ramified_real_places
-from quathyp.commensurability import algebra_image, field_automorphisms, place_image
-from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place
-from quathyp.hermitian import signature_at_ramified
+from quathyp.algebras import algebras_isomorphic, conjugate_algebra, ramified_real_places
+from quathyp.commensurability import IDENTITY, field_automorphisms, place_image
+from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place, real_signature
+from quathyp.hermitian import HermitianForm, signature_at_ramified
 from quathyp.quadratic import form_support, same_square_class, signature_at
 from quathyp.symbols import symbol_support
 
@@ -479,6 +479,27 @@ def forms_isometric_every_place(q1, q2) -> bool:
 # commensurability one field automorphism at a time
 
 
+def algebra_image(tau, D):
+    """tau(D): the algebra with parameters moved by the field automorphism."""
+    return D if tau == IDENTITY else conjugate_algebra(D)
+
+
+def hermitian_image(tau, h):
+    """tau(h): the form over tau(D) with coefficients moved by tau."""
+    if tau == IDENTITY:
+        return h
+    return HermitianForm(conjugate_algebra(h.algebra), tuple(c.conjugate() for c in h.coeffs))
+
+
+def finite_volume_flag(h) -> bool:
+    """Whether the subspace cut out by ``h`` is a nonflat piece of
+    positive dimension with finite covolume: dimension at least 2 and
+    indefinite (hence isotropic) at some real place."""
+    if h.dim < 2:
+        return False
+    return any(0 not in real_signature(h.coeffs, v) for v in h.field.real_places())
+
+
 def triples_equivalent_by_images(t1, t2) -> bool:
     """Whether some field automorphism tau sends t2.v0 to t1.v0 and
     makes t1.algebra isomorphic to tau(t2.algebra), the algebra with
@@ -557,6 +578,18 @@ def killing_gram(m: int) -> np.ndarray:
 def killing_adtrace(A, B, m: int) -> float:
     """The Killing form as the trace of ad(A) ad(B)."""
     return float(geo.coordinates(A, m) @ killing_gram(m) @ geo.coordinates(B, m))
+
+
+def distance_by_floats(v1, v2) -> float:
+    """The distance between the negative lines of two (m+1, 4) vectors,
+    one pair at a time in Python floats: 2 arccosh sqrt of
+    |h(v1,v2)|^2 / (h(v1,v1) h(v2,v2)), 0 within ``geo.ZERO_BAND`` of 1."""
+    def h(v, w):
+        terms = [geo.quat_mul(geo.quat_conj(a), b) for a, b in zip(v, w)]
+        return sum(terms[:-1]) - terms[-1]
+
+    arg = float((h(v1, v2) ** 2).sum()) / (float(h(v1, v1)[0]) * float(h(v2, v2)[0]))
+    return 0.0 if arg <= 1.0 + geo.ZERO_BAND else 2.0 * math.acosh(math.sqrt(arg))
 
 
 def triple_product(v, w, u) -> np.ndarray:

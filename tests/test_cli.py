@@ -151,6 +151,22 @@ class TestInvariants:
         assert "signature at inf: (1, 1)" in out
         assert "dim 8, det class 1, hasse +1" in out
 
+    def test_hermitian_signatures_read_each_ramified_place_once(self, capsys, hilbert_calls):
+        # <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5))): one symbol per real place
+        payload = (
+            '{"field": {"base": "quadratic", "d": 5}, "algebra": {"a": -1, "b": -1}, '
+            '"coeffs": [1, 1, {"a0": 0, "a1": -1}]}'
+        )
+        code, out, _ = run(capsys, "invariants", payload)
+        assert code == 0 and len(hilbert_calls) == 2
+        assert out == (
+            "trace-form invariants of <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5)))\n"
+            "  signature at inf_0: (2, 1)\n"
+            "  signature at inf_1: (3, 0)\n"
+            "  at 2: dim 12, det class 1, hasse +1\n"
+            "  at 5: dim 12, det class 1, hasse +1\n"
+        )
+
     def test_quadratic_json(self, capsys):
         payload = f'{{"field": {RATIONAL}, "coeffs": [1, 1, -3]}}'
         code, out, _ = run(capsys, "invariants", "--json", payload)

@@ -16,12 +16,10 @@ from quathyp.commensurability import (
     IDENTITY,
     AdmissibleTriple,
     OrbifoldClassDescriptor,
-    algebra_image,
     MAX_CANONICAL_M,
     canonical_hermitian,
     field_automorphisms,
     general_cn_commensurable,
-    hermitian_image,
     is_admissible,
     is_compact,
     place_image,
@@ -39,7 +37,12 @@ from quathyp.hermitian import hermitian_form, hermitian_isometric, signature_at_
 from quathyp.quadratic import diagonal_form
 from quathyp.subspaces import ComplexRestrictionData, embeds_complex, embeds_real
 
-from oracles import nonsplit_commensurable_by_images, triples_equivalent_by_images
+from oracles import (
+    algebra_image,
+    hermitian_image,
+    nonsplit_commensurable_by_images,
+    triples_equivalent_by_images,
+)
 
 
 def rational_triple(a, b):

@@ -1,6 +1,7 @@
 """Tests for the numeric model of quaternionic hyperbolic space."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -360,6 +361,100 @@ class TestSubspaceClassification:
             assert geo.lie_triple_closure(W) == oracles.lie_triple_closure_loop(W)
 
 
+class TestStacks:
+    """The report's sections run over stacks of samples; each stacked
+    helper agrees with its one-matrix public form."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_sampled_isometries_stack(self, m):
+        seeds = [3, 11, 1000, 2024]
+        stack = geo._random_sp_elements(m, seeds)
+        assert stack.shape == (len(seeds), m + 1, m + 1, 4)
+        for A, seed in zip(stack, seeds):
+            np.testing.assert_allclose(A, geo.random_sp_element(m, seed), rtol=0, atol=1e-15)
+        assert np.array_equal(geo.random_sp_element(m, 3), geo.random_sp_element(m, 3))
+        assert not np.array_equal(stack[0], stack[1])
+        assert geo.sp_dev(stack) == max(geo.sp_dev(A) for A in stack) <= geo.GROUP_TOLERANCE
+
+    def test_exponential_of_a_stack_scales_each_matrix(self):
+        # 1-norms from 0 to 40 need 0 to 7 squarings, each its own
+        rng = np.random.default_rng(17)
+        M = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+        norms = np.abs(M).sum(axis=-2).max(axis=-1)
+        M *= (np.array([0.0, 0.2, 1.0, 3.0, 12.0, 40.0]) / norms)[:, None, None]
+        got = geo._expm(M)
+        for one, expected in zip(got, M):
+            want = scipy.linalg.expm(expected)
+            assert np.linalg.norm(one - want) <= 1e-12 * np.linalg.norm(want)
+            np.testing.assert_allclose(one, geo._expm(expected), rtol=1e-15, atol=0)
+
+    def test_membership_over_the_basis_stack(self):
+        basis = geo._cached_basis(3)
+        assert geo.lie_algebra_dev(basis) == max(geo.lie_algebra_dev(A) for A in basis) == 0.0
+        # 0.5 on every component: the real parts of the diagonal miss by 1
+        assert geo.lie_algebra_dev(np.concatenate([basis, basis[:1] + 0.5])) == 1.0
+
+    def test_distances_over_a_stack(self):
+        v = np.stack([random_negative_vector(3) for _ in range(8)])
+        w = np.stack([random_negative_vector(3) for _ in range(8)])
+        w[0] = geo.quat_mul(v[0], random_quat())  # one pair on one line: 0
+        got = geo._distances(v, w)
+        assert got.shape == (8,) and got[0] == 0.0
+        for d, a, b in zip(got, v, w):
+            expected = oracles.distance_by_floats(a, b)
+            assert d == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert geo.distance(a, b) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        with pytest.raises(ValueError, match="negative vectors"):
+            geo._distances(v, np.concatenate([w[:7], np.eye(4, 4)[None, :]]))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_killing_ratios_match_the_one_sample_functions(self, m):
+        alphas = geo._gaussians(random.Random(3), (20, m, 4))
+        ratios = geo.killing_metric_ratios(m, samples=20, seed=3)
+        for alpha, ratio in zip(alphas, ratios):
+            X = np.zeros((m + 1, m + 1, 4))
+            X[:m, m] = alpha
+            X[m, :m] = geo.quat_conj(alpha)
+            w = geo.tangent_of_corner(X, m)
+            g = geo.metric_at(geo.base_point(m), w, w)[0]
+            assert ratio == pytest.approx(geo.killing_value(X, X, m) / g, rel=1e-14)
+
+    def test_public_shapes_are_still_checked(self):
+        v = geo.base_point(2)
+        with pytest.raises(ValueError, match="share shape"):
+            geo.distance(np.stack([v, v]), np.stack([v, v]))
+        with pytest.raises(ValueError, match="share shape"):
+            geo.metric_at(v, np.stack([v, v]), np.stack([v, v]))
+        X = geo.X_element(2, 1, geo.QUAT_ONE)
+        with pytest.raises(ValueError):
+            geo.killing_value(np.stack([X, X]), np.stack([X, X]), 2)
+
+    def test_tangent_of_corner_reads_the_last_column(self):
+        X = np.stack([geo.X_element(3, ell, geo.QUAT_I) for ell in (1, 2, 3)])
+        w = geo.tangent_of_corner(X, 3)
+        for ell in range(3):
+            expected = np.zeros((4, 4))
+            expected[ell] = geo.QUAT_I
+            assert np.array_equal(w[ell], expected)
+            assert np.array_equal(geo.tangent_of_corner(X[ell], 3), expected)
+
+    def test_every_sampled_isometry_is_checked(self, monkeypatch):
+        # the last of each ten samples stretches the first axis: both
+        # sampled checks must see it
+        sample = geo._random_sp_elements
+
+        def one_bad(m, seeds):
+            stack = sample(m, seeds)
+            stack[-1, 0, 0] *= 2.0
+            return stack
+
+        monkeypatch.setattr(geo, "_random_sp_elements", one_bad)
+        checks = {c["name"]: c for c in geo.geometry_report(3)["checks"]}
+        assert not checks["distance-invariance"]["passed"]
+        assert not checks["group-membership"]["passed"]
+        assert checks["killing-metric-ratio"]["passed"]
+
+
 class TestReport:
     def test_structure_and_honest_failures(self):
         rep = geo.geometry_report(2, samples=8, seed=7)
@@ -415,6 +510,13 @@ def test_cli_imports_geometry_without_scipy():
     assert "scipy" not in _packages(loaded)
 
 
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # records are slotted classes; what the interpreter loads at start-up
+    # on its own does not count against the CLI
+    added = _modules_loaded_by("import quathyp.cli") - _modules_loaded_by("pass")
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & added
+
+
 def test_package_imports_neither_numpy_nor_scipy():
     packages = _packages(_modules_loaded_by("import quathyp"))
     assert "numpy" not in packages and "scipy" not in packages
@@ -454,6 +556,12 @@ def test_arithmetic_commands_never_execute_numpy(argv):
 
 def test_verify_geometry_loads_numpy():
     assert "numpy._core" in _modules_loaded_by_cli(["verify-geometry", "--m", "2"])
+
+
+def test_verify_geometry_draws_without_numpy_random():
+    loaded = _modules_loaded_by_cli(["verify-geometry", "--m", "2"])
+    assert "numpy._core" in loaded
+    assert not [name for name in loaded if name.split(".")[:2] == ["numpy", "random"]]
 
 
 class TestLazyModuleSurface:

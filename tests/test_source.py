@@ -1,6 +1,6 @@
 """Source hygiene: every name a module of the library or of its tests
-imports is used in it, and no library module imports numpy when it is
-itself imported."""
+imports is used in it, no library module imports numpy when it is
+itself imported, and none uses ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -40,14 +40,14 @@ def test_guard_sees_an_unused_name():
     assert unused_imports(source) == ["lcm (line 1)", "os (line 2)"]
 
 
-def _is_numpy(name) -> bool:
-    return isinstance(name, str) and name.split(".")[0] == "numpy"
+def _is_module(name, module: str) -> bool:
+    return isinstance(name, str) and name.split(".")[0] == module
 
 
-def _imports_numpy(node: ast.AST) -> bool:
+def _imports(node: ast.AST, module: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(_is_numpy(alias.name) for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and _is_numpy(node.module)
+        return any(_is_module(alias.name, module) for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and _is_module(node.module, module)
 
 
 def _import_time_nodes(node: ast.AST):
@@ -62,15 +62,15 @@ def _import_time_nodes(node: ast.AST):
 def eager_numpy_imports(source: str) -> list[str]:
     """Import statements that load numpy when the module is imported."""
     nodes = _import_time_nodes(ast.parse(source))
-    return [f"line {node.lineno}" for node in nodes if _imports_numpy(node)]
+    return [f"line {node.lineno}" for node in nodes if _imports(node, "numpy")]
 
 
-def names_numpy(source: str) -> bool:
-    """Whether the module imports numpy anywhere or names it in a string
-    (``importlib.import_module("numpy")`` and the like)."""
+def names_module(source: str, module: str = "numpy") -> bool:
+    """Whether the module imports ``module`` anywhere or names it in a
+    string (``importlib.import_module("numpy")`` and the like)."""
     return any(
-        _imports_numpy(node)
-        or (isinstance(node, ast.Constant) and _is_numpy(node.value))
+        _imports(node, module)
+        or (isinstance(node, ast.Constant) and _is_module(node.value, module))
         for node in ast.walk(ast.parse(source))
     )
 
@@ -79,7 +79,7 @@ def names_numpy(source: str) -> bool:
 def test_numpy_is_lazy_and_only_in_geometry(path):
     source = path.read_text(encoding="utf-8")
     assert eager_numpy_imports(source) == []
-    assert names_numpy(source) == (path.name == "geometry.py")
+    assert names_module(source) == (path.name == "geometry.py")
 
 
 def test_numpy_guard_sees_eager_and_hidden_imports():
@@ -92,6 +92,20 @@ def test_numpy_guard_sees_eager_and_hidden_imports():
     )
     assert eager_numpy_imports(source) == ["line 3", "line 6", "line 8"]
     assert eager_numpy_imports("def f():\n    import numpy\n") == []
-    assert names_numpy("def f():\n    from numpy import eye\n")
-    assert names_numpy('np = __import__("numpy")\n')
-    assert not names_numpy('"""Rows of a numpy array."""\nimport numbers\n')
+    assert names_module("def f():\n    from numpy import eye\n")
+    assert names_module('np = __import__("numpy")\n')
+    assert not names_module('"""Rows of a numpy array."""\nimport numbers\n')
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_dataclasses(path):
+    # importing dataclasses loads inspect, ast, dis and tokenize: about
+    # 12 ms of every CLI process; records derive from quathyp.records
+    assert not names_module(path.read_text(encoding="utf-8"), "dataclasses")
+
+
+def test_dataclasses_guard_sees_every_import():
+    assert names_module("from dataclasses import dataclass\n", "dataclasses")
+    assert names_module("def f():\n    import dataclasses as dc\n", "dataclasses")
+    assert names_module('importlib.import_module("dataclasses")\n', "dataclasses")
+    assert not names_module('"""Slots, not dataclasses."""\nimport dataclass_x\n', "dataclasses")

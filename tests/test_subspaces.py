@@ -27,12 +27,13 @@ from quathyp.subspaces import (
     embeds_real,
     extend_complex,
     extend_real,
-    finite_volume_flag,
     restriction_complex,
     restriction_real,
     subform,
     surface_witness,
 )
+
+from oracles import finite_volume_flag
 
 
 def hamilton_ambient(m=2):
