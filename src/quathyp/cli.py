@@ -78,6 +78,9 @@ def _cmd_symbol(args):
     field = serialize.parse_field(load_payload(args.field))
     a = serialize.parse_element(load_payload(args.a), field, "/a")
     b = serialize.parse_element(load_payload(args.b), field, "/b")
+    for ptr, x in (("/a", a), ("/b", b)):
+        if not x:
+            raise DescriptorError("Hilbert symbol arguments must be nonzero", ptr)
     if args.place is not None:
         places = [serialize.parse_place(args.place, field, "/place")]
     else:

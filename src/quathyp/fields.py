@@ -3,8 +3,10 @@
 The module provides the base-field layer everything else sits on:
 
 * :class:`Field` -- Q or Q(sqrt(d)) with d > 1 squarefree;
-* :class:`FieldElement` -- exact elements a0 + a1*sqrt(d) with
-  :class:`fractions.Fraction` coordinates;
+* :class:`FieldElement` -- exact elements (n0 + n1*sqrt(d)) / den, held as
+  integers in normal form (den > 0, gcd(n0, n1, den) = 1) and computed on
+  as integers; :class:`fractions.Fraction` appears only at the boundary:
+  `Field.element` input, the coordinates `a0`, `a1`, `norm` and `trace`;
 * :class:`Place` -- real embeddings and finite places (primes of the
   field, tagged by how the rational prime below them splits);
 * local predicates: exact signs at real embeddings, valuations, and
@@ -33,13 +35,11 @@ from .numtheory import (
     factor,
     factors_without_splitting,
     is_prime,
-    is_square_fraction,
+    is_square_int,
     legendre,
     sqrt_mod_prime_power,
     squarefree_part,
-    unit_mod,
     val,
-    val_fraction,
 )
 from .records import Record, set_field
 
@@ -116,64 +116,102 @@ QQ = Field()
 
 def _coerce(field: Field, other) -> "FieldElement":
     if isinstance(other, FieldElement):
-        if other.field != field:
+        if other.field is not field and other.field != field:
             raise FieldMismatchError(
                 f"cannot combine elements of {field} and {other.field}"
             )
         return other
     if isinstance(other, (int, Fraction)):
-        return field.element(other)
+        return _make(field, other.numerator, 0, other.denominator)
     return NotImplemented
 
 
-class FieldElement(Record):
-    """An exact element a0 + a1*sqrt(d) of its field (a1 = 0 over Q)."""
+def _make(field: Field, n0: int, n1: int, den: int) -> "FieldElement":
+    """The element (n0 + n1*sqrt(d)) / den of coordinates in normal form."""
+    x = _alloc(FieldElement)
+    set_field(x, "field", field)
+    set_field(x, "n0", n0)
+    set_field(x, "n1", n1)
+    set_field(x, "den", den)
+    return x
 
-    __slots__ = ("field", "a0", "a1")
+
+def _reduced(field: Field, n0: int, n1: int, den: int) -> "FieldElement":
+    """The element (n0 + n1*sqrt(d)) / den, den != 0, brought to normal form."""
+    g = math.gcd(n0, n1, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n0, n1, den = n0 // g, n1 // g, den // g
+    return _make(field, n0, n1, den)
+
+
+class FieldElement(Record):
+    """An exact element a0 + a1*sqrt(d) of its field (a1 = 0 over Q), held
+    as (n0 + n1*sqrt(d)) / den in normal form, so equal elements have equal
+    fields."""
+
+    __slots__ = ("field", "n0", "n1", "den")
 
     def __init__(self, field: Field, a0: Fraction, a1: Fraction):
+        q0, q1 = a0.denominator, a1.denominator
+        den = q0 * q1 // math.gcd(q0, q1)
+        # reduced fractions over their lcm: no prime divides den, n0 and n1
         set_field(self, "field", field)
-        set_field(self, "a0", a0)
-        set_field(self, "a1", a1)
+        set_field(self, "n0", a0.numerator * (den // q0))
+        set_field(self, "n1", a1.numerator * (den // q1))
+        set_field(self, "den", den)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.a0, self.a1) == (other.field, other.a0, other.a1)
-        return NotImplemented
+    @property
+    def a0(self) -> Fraction:
+        return Fraction(self.n0, self.den)
 
-    def __hash__(self) -> int:
-        return hash((self.field, self.a0, self.a1))
+    @property
+    def a1(self) -> Fraction:
+        return Fraction(self.n1, self.den)
+
+    def __repr__(self) -> str:
+        return f"FieldElement(field={self.field!r}, a0={self.a0!r}, a1={self.a1!r})"
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.a0, self.a1)
 
     def __bool__(self) -> bool:
-        return self.a0 != 0 or self.a1 != 0
+        return self.n0 != 0 or self.n1 != 0
 
     @property
     def is_rational_value(self) -> bool:
-        return self.a1 == 0
+        return self.n1 == 0
 
     def conjugate(self) -> "FieldElement":
         """The Galois conjugate a0 - a1*sqrt(d) (identity over Q)."""
-        return FieldElement(self.field, self.a0, -self.a1)
+        return _make(self.field, self.n0, -self.n1, self.den)
 
     def norm(self) -> Fraction:
         """Norm down to Q: x * conjugate(x) = a0^2 - a1^2 * d."""
         if self.field.is_rational:
-            return self.a0
-        return self.a0 * self.a0 - self.a1 * self.a1 * self.field.d
+            return Fraction(self.n0, self.den)
+        return Fraction(_norm_numerator(self), self.den * self.den)
 
     def trace(self) -> Fraction:
-        return self.a0 if self.field.is_rational else 2 * self.a0
+        return Fraction(self.n0 if self.field.is_rational else 2 * self.n0, self.den)
 
     def __add__(self, other):
-        other = _coerce(self.field, other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.a0 + other.a0, self.a1 + other.a1)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = _coerce(self.field, other)
+            if other is NotImplemented:
+                return NotImplemented
+        A, B = self.den, other.den
+        if A == B:
+            return _reduced(self.field, self.n0 + other.n0, self.n1 + other.n1, A)
+        return _reduced(
+            self.field, self.n0 * B + other.n0 * A, self.n1 * B + other.n1 * A, A * B
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, -self.a0, -self.a1)
+        return _make(self.field, -self.n0, -self.n1, self.den)
 
     def __sub__(self, other):
         other = _coerce(self.field, other)
@@ -185,25 +223,28 @@ class FieldElement(Record):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(self.field, other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self.field.d or 0
-        return FieldElement(
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = _coerce(self.field, other)
+            if other is NotImplemented:
+                return NotImplemented
+        a0, a1, b0, b1 = self.n0, self.n1, other.n0, other.n1
+        return _reduced(
             self.field,
-            self.a0 * other.a0 + self.a1 * other.a1 * d,
-            self.a0 * other.a1 + self.a1 * other.a0,
+            a0 * b0 + a1 * b1 * (self.field.d or 0),
+            a0 * b1 + a1 * b0,
+            self.den * other.den,
         )
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
+        # 1/x = den (n0 - n1 sqrt(d)) / (n0^2 - n1^2 d)
         if not self:
             raise ZeroDivisionError("field element 0 has no inverse")
-        n = self.norm()
-        if self.field.is_rational:
-            return FieldElement(self.field, 1 / self.a0, Fraction(0))
-        return FieldElement(self.field, self.a0 / n, -self.a1 / n)
+        n0, n1 = self.n0, self.n1
+        return _reduced(
+            self.field, self.den * n0, -self.den * n1, n0 * n0 - n1 * n1 * (self.field.d or 0)
+        )
 
     def __truediv__(self, other):
         other = _coerce(self.field, other)
@@ -217,7 +258,7 @@ class FieldElement(Record):
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
+        out = _make(self.field, 1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -227,21 +268,30 @@ class FieldElement(Record):
         return out
 
     def __str__(self) -> str:
-        if self.a1 == 0:
-            return str(self.a0)
+        a0, a1 = self.a0, self.a1
+        if a1 == 0:
+            return str(a0)
         d = self.field.d
         root = f"sqrt({d})"
-        if self.a1 == 1:
+        if a1 == 1:
             second = root
-        elif self.a1 == -1:
+        elif a1 == -1:
             second = f"-{root}"
         else:
-            second = f"{self.a1}*{root}"
-        if self.a0 == 0:
+            second = f"{a1}*{root}"
+        if a0 == 0:
             return second
-        sign = "+" if self.a1 > 0 else "-"
+        sign = "+" if a1 > 0 else "-"
         mag = second.lstrip("-")
-        return f"{self.a0} {sign} {mag}"
+        return f"{a0} {sign} {mag}"
+
+
+_alloc = FieldElement.__new__
+
+
+def _norm_numerator(x: FieldElement) -> int:
+    """n0^2 - n1^2 d, the norm of x times den^2 (x over Q(sqrt(d)))."""
+    return x.n0 * x.n0 - x.n1 * x.n1 * x.field.d
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +468,12 @@ def sign_at_real_place(x: FieldElement, v: Place) -> int:
     if not v.is_real:
         raise PlaceKindError(f"{v} is not a real embedding")
     _require_same_field(x, v)
-    n0, n1 = x.a0.numerator, x.a1.numerator
+    return _real_sign(x, v)
+
+
+def _real_sign(x: FieldElement, v: Place) -> int:
+    """`sign_at_real_place` without the checks: the sign of n0 +- n1*sqrt(d)."""
+    n0, n1 = x.n0, x.n1
     if v.embedding == 1:
         n1 = -n1
     s0, s1 = (n0 > 0) - (n0 < 0), (n1 > 0) - (n1 < 0)
@@ -426,11 +481,9 @@ def sign_at_real_place(x: FieldElement, v: Place) -> int:
         return s0
     if not s0:
         return s1
-    # opposite signs: the larger of a0^2, a1^2 d wins (they are never equal
+    # opposite signs: the larger of n0^2, n1^2 d wins (they are never equal
     # because d is not a rational square)
-    if (n0 * x.a1.denominator) ** 2 > (n1 * x.a0.denominator) ** 2 * x.field.d:
-        return s0
-    return s1
+    return s0 if n0 * n0 > n1 * n1 * x.field.d else s1
 
 
 def real_signature(coeffs, v: Place) -> tuple[int, int]:
@@ -445,18 +498,6 @@ def real_signature(coeffs, v: Place) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _integer_coords(x: FieldElement) -> tuple[int, int, int]:
-    """(A0, A1, L) with x = (A0 + A1*sqrt(d)) / L, L the least common
-    denominator of the coordinates."""
-    L = math.lcm(x.a0.denominator, x.a1.denominator)
-    return x.a0.numerator * (L // x.a0.denominator), x.a1.numerator * (L // x.a1.denominator), L
-
-
-def _char(n: int, p: int) -> int:
-    """Quadratic character mod p of the p-free part of an integer n != 0."""
-    return legendre(n // p ** val(n, p), p)
-
-
 def _split_image(x: FieldElement, v: Place) -> tuple[int, int]:
     """Valuation and unit part of x in the completion at a split place,
     the unit mod p (mod 8 when p = 2).
@@ -468,18 +509,16 @@ def _split_image(x: FieldElement, v: Place) -> tuple[int, int]:
     """
     p = v.p
     digits = 3 if p == 2 else 1
-    A0, A1, lcm = _integer_coords(x)
-    # The valuation of A0 + A1*r is at most v_p of the integer norm
-    # A0^2 - A1^2 d, because the conjugate image is also a p-adic integer.
-    nrm = A0 * A0 - A1 * A1 * x.field.d
-    m = val(nrm, p) + digits
+    # The valuation of n0 + n1*r is at most v_p of the integer norm
+    # n0^2 - n1^2 d, because the conjugate image is also a p-adic integer.
+    m = val(_norm_numerator(x), p) + digits
     r = sqrt_mod_prime_power(x.field.d, p, m)
     if v.position == SPLIT_SECOND:
         r = p**m - r
-    t = (A0 + A1 * r) % p**m
-    vt, e = val(t, p), val(lcm, p)
-    # the image is t / lcm: its unit part divides by lcm's as well
-    return vt - e, t // p**vt * pow(lcm // p**e, -1, p**digits) % p**digits
+    t = (x.n0 + x.n1 * r) % p**m
+    vt, e = val(t, p), val(x.den, p)
+    # the image is t / den: its unit part divides by den's as well
+    return vt - e, t // p**vt * pow(x.den // p**e, -1, p**digits) % p**digits
 
 
 def local_valuation(x: FieldElement, v: Place) -> int:
@@ -494,13 +533,12 @@ def _valuation(x: FieldElement, v: Place) -> int:
     """`local_valuation` without the argument checks."""
     p = v.p
     if v.position == RATIONAL:
-        return val_fraction(x.a0, p)
+        return val(x.n0, p) - val(x.den, p)
     if v.position in (SPLIT_FIRST, SPLIT_SECOND):
         return _split_image(x, v)[0]
     # inert or ramified: v_p(norm(x)) = f v(x), residue degree f = 2 or 1;
-    # the norm is (A0^2 - A1^2 d) / L^2
-    A0, A1, L = _integer_coords(x)
-    return (val(A0 * A0 - A1 * A1 * x.field.d, p) - 2 * val(L, p)) // (2 if v.position == INERT else 1)
+    # the norm is (n0^2 - n1^2 d) / den^2
+    return (val(_norm_numerator(x), p) - 2 * val(x.den, p)) // (2 if v.position == INERT else 1)
 
 
 def local_square_class(x: FieldElement, v: Place) -> tuple[int, int]:
@@ -515,30 +553,37 @@ def local_square_class(x: FieldElement, v: Place) -> tuple[int, int]:
     `_dyadic_unit_classes` gives the unit's residue mod 8.
     """
     _require_nonzero(x)
-    if v.is_real:
-        return 0, sign_at_real_place(x, v)
     _require_same_field(x, v)
-    p = v.p
-    if v.position in (SPLIT_FIRST, SPLIT_SECOND):
+    return _square_class(x, v)
+
+
+def _square_class(x: FieldElement, v: Place) -> tuple[int, int]:
+    """`local_square_class` without the argument checks."""
+    if v.kind == "real":
+        return 0, _real_sign(x, v)
+    p, position = v.p, v.position
+    if position == RATIONAL:
+        # x = p^(e0 - e1) u0/u1, and u0/u1, u0*u1 differ by the square u1^2
+        e0, e1 = val(x.n0, p), val(x.den, p)
+        u0, u1 = x.n0 // p**e0, x.den // p**e1
+        return (e0 - e1) % 2, u0 * pow(u1, -1, 8) % 8 if p == 2 else legendre(u0 * u1, p)
+    if position in (SPLIT_FIRST, SPLIT_SECOND):
         n, u = _split_image(x, v)
         return n % 2, u if p == 2 else legendre(u, p)
     if p == 2:
-        if v.position == RATIONAL:
-            return val_fraction(x.a0, 2) % 2, unit_mod(x.a0, 2, 8)
         return _dyadic_key(x, v)
+    if position == INERT:
+        # v_p(norm(x)) = 2 v(x), and a unit of F_{p^2} is a square exactly
+        # when its norm is one in F_p; the norm of x is N / den^2
+        N = _norm_numerator(x)
+        e = val(N, p)
+        return (e // 2 - val(x.den, p)) % 2, legendre(N // p**e, p)
     n = _valuation(x, v)
-    if v.position == RATIONAL:
-        # num/den and num*den differ by the square den^2
-        return n % 2, _char(x.a0.numerator * x.a0.denominator, p)
-    if v.position == INERT:
-        # a unit of F_{p^2} is a square exactly when its norm is one in
-        # F_p; the norm of x is (A0^2 - A1^2 d) / L^2
-        A0, A1, _ = _integer_coords(x)
-        return n % 2, _char(A0 * A0 - A1 * A1 * x.field.d, p)
     # ramified: divide by the uniformizer sqrt(d); the unit's residue is
-    # its rational coordinate a0/d^(n/2) (n even) or a1/d^((n-1)/2)
-    u = (x.a1 if n % 2 else x.a0) / Fraction(x.field.d) ** (n // 2)
-    return n % 2, _char(u.numerator * u.denominator, p)
+    # its rational coordinate c/(den d^k), c = n0 (n = 2k) or n1 (n = 2k+1),
+    # in the class of c den d^(k mod 2); the character reads its p-free part
+    c = (x.n1 if n % 2 else x.n0) * x.den * (x.field.d if n // 2 % 2 else 1)
+    return n % 2, legendre(c // p ** val(c, p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -580,9 +625,8 @@ def _dyadic_key(x: FieldElement, v: Place) -> tuple[int, int]:
     inert (uniformizer 2) or ramified (uniformizer pi = c + sqrt(d),
     c = d mod 2, with 2 = pi^2 eta and N(pi) = 2 nu for units eta, nu)."""
     d = x.field.d
-    A0, A1, L = _integer_coords(x)
-    # x and the integral z = (A0 + A1 sqrt(d)) L differ by the square L^2
-    a, b = A0 * L, A1 * L
+    # x and the integral z = (n0 + n1 sqrt(d)) den differ by the square den^2
+    a, b = x.n0 * x.den, x.n1 * x.den
     if v.position == INERT:
         a, b = a - b, 2 * b  # coordinates in {1, omega}
     k = min(val(t, 2) for t in (a, b) if t)
@@ -627,11 +671,6 @@ def is_local_square(x: FieldElement, v: Place) -> bool:
     return local_square_class(x, v) == (0, 1)
 
 
-def fraction_sqrt(x: Fraction) -> Fraction:
-    """Exact square root of a rational square."""
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-
-
 def is_global_square(x: FieldElement) -> bool:
     """Exact test that x is a square in its field.
 
@@ -639,36 +678,41 @@ def is_global_square(x: FieldElement) -> bool:
     s = +-(y0^2 - y1^2 d) rational, and then 2*y0^2 = a0 +- s.  So x is a
     square iff norm(x) is a rational square and one of (a0 +- s)/2 is a
     nonzero rational square (x with a1 = 0 reduces to a0 or a0*d being a
-    rational square).
+    rational square).  A rational r/s is a square exactly when the
+    integer r*s is, so every test runs on integers: with N = n0^2 - n1^2 d,
+    s = sqrt(N)/den and (a0 +- s)/2 = (n0 +- sqrt(N)) / (2 den).
     """
     if not x:
         return True
-    if x.field.is_rational:
-        return is_square_fraction(x.a0)
-    if x.a1 == 0:
-        return is_square_fraction(x.a0) or is_square_fraction(x.a0 * x.field.d)
-    n = x.norm()
-    if not is_square_fraction(n):
+    if x.n1 == 0:
+        r = x.n0 * x.den
+        return is_square_int(r) or (not x.field.is_rational and is_square_int(r * x.field.d))
+    n = _norm_numerator(x)
+    if not is_square_int(n):
         return False
-    s = fraction_sqrt(n)
-    for u in ((x.a0 + s) / 2, (x.a0 - s) / 2):
-        if u != 0 and is_square_fraction(u):
-            return True
-    return False
+    s = math.isqrt(n)
+    return any(u and is_square_int(u * 2 * x.den) for u in (x.n0 + s, x.n0 - s))
 
 
 def element_support_primes(x: FieldElement) -> set[int]:
     """Odd rational primes at which some place could see x non-unit.
 
-    Covers the numerator and denominator of the norm and the coordinate
-    denominators: at a split place the two valuations only sum to
-    v_p(norm), so a clean norm does not preclude opposite nonzero
-    valuations at the two places -- those need p in a denominator.
+    The primes of the norm's numerator and denominator and of the
+    coordinate denominators: at a split place the two valuations only sum
+    to v_p(norm), so a clean norm does not preclude opposite nonzero
+    valuations at the two places -- those need p in a denominator.  Two
+    integers carry them all: the norm's numerator N/gcd(N, den^2) (N =
+    n0^2 - n1^2 d; n0 over Q) and den, the lcm of the coordinate
+    denominators.  Its primes are theirs, and every prime of the norm's
+    denominator divides it.
     """
     _require_nonzero(x)
-    primes: set[int] = set()
-    n = x.norm()
-    for source in (n.numerator, n.denominator, x.a0.denominator, x.a1.denominator):
-        primes.update(factor(source))
+    if x.field.is_rational:
+        top = x.n0
+    else:
+        top = _norm_numerator(x)
+        top //= math.gcd(top, x.den * x.den)
+    primes = set(factor(top))
+    primes.update(factor(x.den))
     primes.discard(2)
     return primes

@@ -16,7 +16,6 @@ factors fails with `FactoringBudgetError` instead of running for hours.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 
@@ -223,11 +222,6 @@ def is_square_int(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def is_square_fraction(x: Fraction) -> bool:
-    """Exact test that a rational is the square of a rational."""
-    return x >= 0 and is_square_int(x.numerator) and is_square_int(x.denominator)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) in {-1, 0, +1} for an odd prime p."""
     a %= p
@@ -246,27 +240,6 @@ def val(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def val_fraction(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("valuation of zero is undefined")
-    return val(x.numerator, p) - val(x.denominator, p)
-
-
-def unit_mod(x: Fraction, p: int, modulus: int) -> int:
-    """The p-free part of x reduced modulo `modulus` (a power of p).
-
-    x = p**v * u with u a p-adic unit; returns u mod modulus, using the
-    inverse of the denominator (valid because the denominator's p-free
-    part is coprime to the modulus).
-    """
-    v = val_fraction(x, p)
-    num = x.numerator // p ** max(v, 0) if v > 0 else x.numerator
-    den = x.denominator
-    if v < 0:
-        den //= p ** (-v)
-    return num * pow(den, -1, modulus) % modulus
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:

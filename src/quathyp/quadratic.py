@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 
 from .errors import FieldMismatchError, PlaceKindError
 from .fields import (
     Field,
     FieldElement,
     Place,
+    _require_same_field,
+    _square_class,
     is_global_square,
     is_local_square,
-    local_square_class,
     real_signature,
 )
 from .numtheory import squarefree_part
@@ -108,14 +108,11 @@ def square_class_rep(x: FieldElement) -> FieldElement:
     """
     if not x:
         raise ValueError("0 has no square class")
-    field = x.field
-    if x.a1 == 0:
-        return field.element(squarefree_part(x.a0.numerator * x.a0.denominator))
-    denom = x.a0.denominator * x.a1.denominator
-    y = x * field.element(denom) ** 2
-    g = math.gcd(int(y.a0), int(y.a1))
+    # x den^2 = n0 den + n1 den sqrt(d) lies in x's class
+    a, b = x.n0 * x.den, x.n1 * x.den
+    g = math.gcd(a, b)
     t2 = g // squarefree_part(g)  # largest square dividing the gcd
-    return field.element(y.a0 / Fraction(t2), y.a1 / Fraction(t2))
+    return x.field.element(a // t2, b // t2)
 
 
 def same_square_class(x: FieldElement, y: FieldElement) -> bool:
@@ -134,10 +131,12 @@ def hasse_invariant(q: QuadraticForm, v: Place) -> int:
 
     One symbol per pair of square classes: a class with n_c members gives
     its own symbol n_c(n_c-1)/2 times, and two classes give theirs
-    n_c n_c' times.  A place of another field raises FieldMismatchError
-    (from `local_square_class`).
+    n_c n_c' times.  A place of another field raises FieldMismatchError;
+    the coefficients are nonzero and share the form's field, so their keys
+    are read without further checks.
     """
-    counts = list(Counter(local_square_class(c, v) for c in q.coeffs).items())
+    _require_same_field(q.coeffs[0], v)
+    counts = list(Counter(_square_class(c, v) for c in q.coeffs).items())
     out = 1
     for i, (ka, na) in enumerate(counts):
         if na * (na - 1) // 2 % 2:

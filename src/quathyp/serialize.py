@@ -109,8 +109,10 @@ def _parse_fraction(value, ptr: str) -> Fraction:
 
 def parse_element(obj, field: Field, ptr: str = "") -> FieldElement:
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return field.element(_parse_fraction(obj, ptr))
-    obj = _require_dict(obj, ptr)
+        return FieldElement(field, _parse_fraction(obj, ptr), 0)
+    if not isinstance(obj, dict):
+        what = f"an integer, a 'p/q' string or an object with keys a0, a1, got {type(obj).__name__}"
+        raise DescriptorError(f"expected {what}", ptr)
     unknown = set(obj) - {"a0", "a1"}
     if unknown:
         raise DescriptorError(
@@ -120,7 +122,7 @@ def parse_element(obj, field: Field, ptr: str = "") -> FieldElement:
     a1 = _parse_fraction(obj.get("a1", 0), f"{ptr}/a1")
     if a1 and field.is_rational:
         raise DescriptorError("a1 must be 0 over Q", f"{ptr}/a1")
-    return field.element(a0, a1)
+    return FieldElement(field, a0, a1)
 
 
 def _fraction_str(x: Fraction) -> str:

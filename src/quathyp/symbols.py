@@ -29,7 +29,7 @@ from .fields import (
     dyadic_class_element,
     element_support_primes,
     _places_above,
-    local_square_class,
+    _square_class,
 )
 from .numtheory import factor
 
@@ -59,7 +59,7 @@ def class_symbol(ka: tuple[int, int], kb: tuple[int, int], v: Place) -> int:
     if v.is_real:
         return -1 if ua < 0 and ub < 0 else 1
     if v.p != 2:
-        sym = local_square_class(v.field.element(-1), v)[1] if alpha and beta else 1
+        sym = _square_class(v.field.element(-1), v)[1] if alpha and beta else 1
         if beta:
             sym *= ua
         if alpha:
@@ -80,7 +80,7 @@ def _dyadic_symbol(d: int, ka: tuple[int, int], kb: tuple[int, int]) -> int:
     field = Field(d)
     a, b = dyadic_class_element(field, ka), dyadic_class_element(field, kb)
     return math.prod(
-        class_symbol(local_square_class(a, w), local_square_class(b, w), w)
+        class_symbol(_square_class(a, w), _square_class(b, w), w)
         for w in symbol_support(a, b)
         if not w.is_dyadic
     )
@@ -92,7 +92,7 @@ def hilbert_symbol(a: FieldElement, b: FieldElement, v: Place) -> int:
         raise ValueError("Hilbert symbol arguments must be nonzero")
     if a.field != b.field or a.field != v.field:
         raise FieldMismatchError("symbol arguments and place must share one field")
-    return class_symbol(local_square_class(a, v), local_square_class(b, v), v)
+    return class_symbol(_square_class(a, v), _square_class(b, v), v)
 
 
 def symbol_support(*elements: FieldElement) -> tuple[Place, ...]:

@@ -19,7 +19,8 @@ coordinates, Lie-triple closure is tested one triple at a time and the
 structural bracket identities one bracket at a time.  Commensurability
 is decided one field automorphism at a time, with the conjugate algebra's
 ramification set built from its own parameters.  The oracles are slow
-and simple on purpose.
+and simple on purpose.  Field elements are checked against arithmetic
+on pairs of Fraction coordinates, with a gcd on every operation.
 """
 
 from __future__ import annotations
@@ -39,6 +40,100 @@ from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place, re
 from quathyp.hermitian import HermitianForm, signature_at_ramified
 from quathyp.quadratic import form_support, same_square_class, signature_at
 from quathyp.symbols import symbol_support
+
+# ---------------------------------------------------------------------------
+# field arithmetic on Fraction coordinate pairs (a0, a1), d = 0 over Q
+
+
+def pair(x) -> tuple[Fraction, Fraction]:
+    return Fraction(x.a0), Fraction(x.a1)
+
+
+def pair_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def pair_neg(x):
+    return -x[0], -x[1]
+
+
+def pair_mul(x, y, d: int):
+    return x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0]
+
+
+def pair_conjugate(x):
+    return x[0], -x[1]
+
+
+def pair_norm(x, d: int) -> Fraction:
+    """a0 over Q; a0^2 - a1^2 d over Q(sqrt(d))."""
+    return x[0] if not d else x[0] * x[0] - x[1] * x[1] * d
+
+
+def pair_trace(x, d: int) -> Fraction:
+    return x[0] if not d else 2 * x[0]
+
+
+def pair_inverse(x, d: int):
+    if x == (0, 0):
+        raise ZeroDivisionError("field element 0 has no inverse")
+    if not d:
+        return 1 / x[0], Fraction(0)
+    n = pair_norm(x, d)
+    return x[0] / n, -x[1] / n
+
+
+def pair_pow(x, n: int, d: int):
+    if n < 0:
+        return pair_pow(pair_inverse(x, d), -n, d)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = pair_mul(out, x, d)
+    return out
+
+
+def _is_square_fraction(q: Fraction) -> bool:
+    return q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+def is_global_square_by_fractions(x) -> bool:
+    """Whether x is a square in its field, on Fraction coordinates:
+    norm(x) = s^2 and one of (a0 +- s)/2 a nonzero rational square."""
+    (a0, a1), d = pair(x), x.field.d or 0
+    if a1 == 0:
+        return _is_square_fraction(a0) or (d != 0 and _is_square_fraction(a0 * d))
+    n = pair_norm((a0, a1), d)
+    if not _is_square_fraction(n):
+        return False
+    s = Fraction(math.isqrt(n.numerator), math.isqrt(n.denominator))
+    return any(u != 0 and _is_square_fraction(u) for u in ((a0 + s) / 2, (a0 - s) / 2))
+
+
+def square_class_rep_by_fractions(x) -> tuple[Fraction, Fraction]:
+    """The coordinates of `quadratic.square_class_rep(x)`, on Fraction
+    coordinates: the squarefree part of num*den for a rational value;
+    else x times (a0.den a1.den)^2, divided by the largest square that
+    divides the gcd of its integer coordinates."""
+    a0, a1 = pair(x)
+    if a1 == 0:
+        return Fraction(_squarefree_numerator(a0)), Fraction(0)
+    y0, y1 = a0 * (a0.denominator * a1.denominator) ** 2, a1 * (a0.denominator * a1.denominator) ** 2
+    g = math.gcd(int(y0), int(y1))
+    t2 = g // _squarefree_numerator(Fraction(g))
+    return y0 / t2, y1 / t2
+
+
+def support_primes_four_sources(x) -> set[int]:
+    """The odd primes of the norm's numerator and denominator and of both
+    coordinate denominators, factored by sympy."""
+    a0, a1 = pair(x)
+    n = pair_norm((a0, a1), x.field.d or 0)
+    primes: set[int] = set()
+    for source in (n.numerator, n.denominator, a0.denominator, a1.denominator):
+        primes.update(sympy.primefactors(source))
+    primes.discard(2)
+    return primes
+
 
 # ---------------------------------------------------------------------------
 # p-adic squares over Q by enumeration

@@ -73,6 +73,21 @@ class TestSymbol:
         assert err.startswith("input error: a 257-bit ")
         assert err.rstrip().endswith(f"exceeds 256 bits (at {pointer})")
 
+    @pytest.mark.parametrize("place", [[], ["--place", "3"], ["--place", "inf"]])
+    @pytest.mark.parametrize("a,b,pointer", [("0", "1", "/a"), ("3", "0/5", "/b")])
+    def test_zero_argument_is_an_input_error(self, capsys, place, a, b, pointer):
+        code, out, err = run(capsys, "symbol", *place, "--", a, b)
+        assert code == 2 and out == ""
+        assert err == f"input error: Hilbert symbol arguments must be nonzero (at {pointer})\n"
+
+    def test_float_argument_names_the_accepted_forms(self, capsys):
+        code, out, err = run(capsys, "symbol", "--", "1.5", "3")
+        assert code == 2 and out == ""
+        assert err == (
+            "input error: expected an integer, a 'p/q' string or an object with keys a0, a1, "
+            "got float (at /a)\n"
+        )
+
     def test_fraction_shorthand(self, capsys):
         code, out, _ = run(capsys, "symbol", "--place", "2", "2/9", "5")
         assert code == 0

@@ -1,10 +1,12 @@
 """Exact field arithmetic, places, and local/global square tests."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+import sympy
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quathyp.fields
@@ -15,6 +17,7 @@ from quathyp.fields import (
     SPLIT_FIRST,
     SPLIT_SECOND,
     Field,
+    FieldElement,
     Place,
     conjugate_place,
     dyadic_class_element,
@@ -120,6 +123,152 @@ class TestElementArithmetic:
         assert str(k.element(1, 2)) == "1 + 2*sqrt(5)"
         assert str(k.element(0, -1)) == "-sqrt(5)"
         assert str(QQ.element(Fraction(-3, 2))) == "-3/2"
+
+
+@st.composite
+def operands(draw, field):
+    """Elements with small coordinates (so common factors come up) or
+    coordinates up to 2^40 over denominators up to 2^20; 0 included."""
+    if draw(st.booleans()):
+        return draw(elements(field))
+
+    def coordinate():
+        return Fraction(draw(st.integers(-(2**40), 2**40)), draw(st.integers(1, 2**20)))
+
+    return field.element(coordinate(), 0 if field.is_rational else coordinate())
+
+
+@st.composite
+def operand_pairs(draw):
+    field = draw(st.sampled_from(PROPERTY_FIELDS))
+    return draw(operands(field)), draw(operands(field))
+
+
+def in_normal_form(x) -> bool:
+    return (
+        x.den > 0
+        and math.gcd(x.n0, x.n1, x.den) == 1
+        and (x.n1 == 0 or not x.field.is_rational)
+        and all(type(n) is int for n in (x.n0, x.n1, x.den))
+    )
+
+
+ARITHMETIC = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+class TestIntegerCoordinates:
+    """Elements are integers (n0 + n1 sqrt(d)) / den in normal form; every
+    operation agrees with arithmetic on Fraction coordinate pairs."""
+
+    @ARITHMETIC
+    @given(operand_pairs())
+    def test_operations_match_fraction_pairs(self, xy):
+        x, y = xy
+        d = x.field.d or 0
+        px, py = oracles.pair(x), oracles.pair(y)
+        q = Fraction(-7, 12)
+        pq = (q, Fraction(0))
+        cases = [
+            (x + y, oracles.pair_add(px, py)),
+            (x - y, oracles.pair_add(px, oracles.pair_neg(py))),
+            (x * y, oracles.pair_mul(px, py, d)),
+            (-x, oracles.pair_neg(px)),
+            (x.conjugate(), oracles.pair_conjugate(px)),
+            (x + 3, oracles.pair_add(px, (3, 0))),
+            (3 - x, oracles.pair_add((3, 0), oracles.pair_neg(px))),
+            (q * x, oracles.pair_mul(pq, px, d)),
+            (x ** 3, oracles.pair_pow(px, 3, d)),
+            (x ** 0, (1, 0)),
+        ]
+        if y:
+            cases += [
+                (x / y, oracles.pair_mul(px, oracles.pair_inverse(py, d), d)),
+                (y.inverse(), oracles.pair_inverse(py, d)),
+                (q / y, oracles.pair_mul(pq, oracles.pair_inverse(py, d), d)),
+                (y ** -2, oracles.pair_pow(py, -2, d)),
+                (y ** -3, oracles.pair_pow(py, -3, d)),
+            ]
+        if x:
+            cases.append((x / q, oracles.pair_mul(px, oracles.pair_inverse(pq, d), d)))
+        for i, (got, want) in enumerate(cases):
+            assert oracles.pair(got) == want, (i, str(x), str(y))
+            assert in_normal_form(got), (i, got.n0, got.n1, got.den)
+        for z, pz in ((x, px), (y, py)):
+            assert z.norm() == oracles.pair_norm(pz, d) and type(z.norm()) is Fraction
+            assert z.trace() == oracles.pair_trace(pz, d) and type(z.trace()) is Fraction
+
+    @ARITHMETIC
+    @given(operand_pairs())
+    def test_equal_values_by_different_routes(self, xy):
+        x, y = xy
+        if not y:
+            y = x.field.one
+        routes = [
+            (x * y) / y,
+            (x + y) - y,
+            x * 1 + 0,
+            (x * 6) / Fraction(6),
+            -(-x),
+            x.conjugate().conjugate(),
+            FieldElement(x.field, x.a0, x.a1),
+            x.field.element(str(x.a0), str(x.a1)),
+        ]
+        if x:
+            routes += [x.inverse().inverse(), (x**2) / x, x**-1 * x**2]
+        for i, z in enumerate(routes):
+            assert z == x and not z != x, (i, str(x), str(y))
+            assert hash(z) == hash(x) and repr(z) == repr(x), i
+            assert (z.n0, z.n1, z.den) == (x.n0, x.n1, x.den), i
+            assert in_normal_form(z), i
+
+    @ARITHMETIC
+    @given(operand_pairs())
+    def test_coordinates_are_the_fractions(self, xy):
+        for x in xy:
+            assert type(x.a0) is Fraction and type(x.a1) is Fraction
+            assert (x.a0, x.a1) == (Fraction(x.n0, x.den), Fraction(x.n1, x.den))
+            assert repr(x) == f"FieldElement(field={x.field!r}, a0={x.a0!r}, a1={x.a1!r})"
+            assert in_normal_form(x)
+
+    @ARITHMETIC
+    @given(operand_pairs())
+    def test_global_squares_match_fraction_route(self, xy):
+        x, y = xy
+        for z in (x, y, x * x, -(x * x), x * x * x.field.element(x.field.d or 4), x * y * y):
+            assert is_global_square(z) == oracles.is_global_square_by_fractions(z), str(z)
+
+    def test_known_normal_forms(self):
+        k = Field(5)
+        x = k.element(Fraction(3, 4), Fraction(-5, 6))
+        assert (x.n0, x.n1, x.den) == (9, -10, 12)
+        assert (k.element(Fraction(2, 4), 1).n0, k.element(Fraction(2, 4), 1).den) == (1, 2)
+        for z in (k.zero, x - x, QQ.element(0), QQ.element(5) - 5):
+            assert (z.n0, z.n1, z.den) == (0, 0, 1) and not z
+        # an inverse whose norm is negative: the sign moves to the numerators
+        y = k.element(1, 1).inverse()  # (1 - sqrt5)/(-4) = (-1 + sqrt5)/4
+        assert (y.n0, y.n1, y.den) == (-1, 1, 4)
+        assert QQ.element(Fraction(-3, 6)).inverse().den == 1
+
+    @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
+    def test_zero_has_no_inverse(self, field):
+        x = field.element(Fraction(5, 3))
+        for attempt in (
+            lambda: field.zero.inverse(),
+            lambda: (x - x).inverse(),
+            lambda: x / field.zero,
+            lambda: 1 / field.zero,
+            lambda: field.zero ** -1,
+        ):
+            with pytest.raises(ZeroDivisionError, match="field element 0 has no inverse"):
+                attempt()
+
+    def test_other_fields_and_types_refused(self):
+        with pytest.raises(FieldMismatchError):
+            Field(5).one + Field(13).one
+        with pytest.raises(FieldMismatchError):
+            Field(5).one * QQ.one
+        with pytest.raises(TypeError):
+            Field(5).one * 1.5
 
 
 class TestPlaces:
@@ -547,3 +696,28 @@ class TestSupportPrimes:
         k = Field(5)
         assert 11 in element_support_primes(k.element(4, 1))  # norm 11
         assert element_support_primes(QQ.element(Fraction(6, 35))) == {3, 5, 7}
+
+    def test_two_integers_carry_the_four_sources_primes(self, monkeypatch):
+        # 20- to 28-bit primes in the numerators and denominators: a
+        # rational or small element scaled by P/Q, or (P/Q) sqrt(d), so
+        # that every norm stays within the factoring budget
+        rng = random.Random(1928)
+        big = [sympy.nextprime(rng.randrange(2**19, 2**28)) for _ in range(12)]
+        factored = []
+        real_factor = quathyp.fields.factor
+        monkeypatch.setattr(
+            quathyp.fields, "factor", lambda n: factored.append(n) or real_factor(n)
+        )
+
+        def part():
+            return math.prod(rng.sample(big, rng.randint(0, 2))) * rng.choice([1, 2, 3, 9, 11, 25])
+
+        for k in PROPERTY_FIELDS:
+            small = [k.one, k.element(Fraction(7, 6))]
+            if not k.is_rational:
+                small += [k.sqrt_d, k.element(Fraction(-1, 2), Fraction(3, 10)), k.element(4, 1)]
+            for _ in range(12):
+                x = rng.choice(small) * Fraction(rng.choice([1, -1]) * part(), part())
+                factored.clear()
+                assert element_support_primes(x) == oracles.support_primes_four_sources(x), str(x)
+                assert len(factored) == 2

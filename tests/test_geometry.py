@@ -517,6 +517,21 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & added
 
 
+#: what ``import quathyp.cli`` adds over a bare interpreter: the modules of
+#: argparse, json and fractions, the lazy numpy stub and quathyp's own
+CLI_START_UP_MODULES = {
+    "__future__", "_decimal", "_json", "argparse", "decimal", "fractions", "gettext", "numbers",
+    "json", "json.decoder", "json.encoder", "json.scanner", "numpy",
+}
+
+
+def test_cli_start_up_imports_no_new_module():
+    # a module added to the one-shot CLI's path fails here instead of
+    # reading as start-up noise in a benchmark
+    added = _modules_loaded_by("import quathyp.cli") - _modules_loaded_by("pass")
+    assert {m for m in added if m.split(".")[0] != "quathyp"} <= CLI_START_UP_MODULES
+
+
 def test_package_imports_neither_numpy_nor_scipy():
     packages = _packages(_modules_loaded_by("import quathyp"))
     assert "numpy" not in packages and "scipy" not in packages

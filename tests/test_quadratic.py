@@ -31,6 +31,7 @@ from quathyp.quadratic import (
     square_class_rep,
 )
 
+import oracles
 from oracles import (
     forms_isometric_every_place,
     hasse_invariant_pairwise,
@@ -128,6 +129,16 @@ class TestSquareClasses:
             rep = square_class_rep(x)
             assert same_square_class(x, rep)
             assert square_class_rep(x * QQ.element(49)) == rep
+
+    @PROPERTY
+    @given(st.sampled_from(PROPERTY_FIELDS).flatmap(lambda k: st.tuples(elements(k), elements(k))))
+    def test_representative_matches_fraction_route(self, xy):
+        # the integer route gives the coordinates the Fraction route gave
+        x, y = xy
+        for z in (x, x * y, x * y * y * Fraction(4, 9), x / 12):
+            rep = square_class_rep(z)
+            assert (rep.a0, rep.a1) == oracles.square_class_rep_by_fractions(z), str(z)
+            assert same_square_class(z, rep)
 
 
 class TestLocalInvariants:

@@ -81,6 +81,15 @@ class TestElements:
         with pytest.raises(DescriptorError):
             parse_element(True, QQ)
 
+    @pytest.mark.parametrize("value", [1.5, None, [1, 2]])
+    def test_other_json_values_name_the_accepted_forms(self, value):
+        with pytest.raises(DescriptorError) as info:
+            parse_element(value, Field(5), "/a")
+        assert str(info.value) == (
+            "expected an integer, a 'p/q' string or an object with keys a0, a1, "
+            f"got {type(value).__name__} (at /a)"
+        )
+
     def test_bit_size_cap(self):
         top = 2**MAX_BITS - 1  # MAX_BITS bits
         assert MAX_BITS == 256
