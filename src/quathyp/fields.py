@@ -149,7 +149,7 @@ def _reduced(field: Field, n0: int, n1: int, den: int) -> "FieldElement":
 class FieldElement(Record):
     """An exact element a0 + a1*sqrt(d) of its field (a1 = 0 over Q), held
     as (n0 + n1*sqrt(d)) / den in normal form, so equal elements have equal
-    fields."""
+    (n0, n1, den)."""
 
     __slots__ = ("field", "n0", "n1", "den")
 
