@@ -16,6 +16,7 @@ from .errors import (
     NotQuaternionicHyperbolicError,
     NotRamifiedAtPlaceError,
     PlaceKindError,
+    PreconditionError,
     QuathypError,
     SearchExhaustedError,
     SignaturePreconditionError,

@@ -5,7 +5,9 @@ inline JSON (anything starting with ``{`` or ``[``) or paths to JSON
 files.  ``--json`` switches to machine-readable output.  Exit status: 0
 normally, 1 when ``--strict`` is set and the decision came out negative,
 2 on malformed input (the error message carries the JSON pointer of the
-offending field).
+offending field) and on input a decision does not accept, such as an
+inadmissible triple or a rank out of range.  Any other exception is a
+bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -18,12 +20,10 @@ from . import serialize
 from .algebras import ramification_set, ramified_real_places
 from .commensurability import (
     canonical_hermitian,
-    general_cn_commensurable,
+    incommensurability_reason,
+    inequivalence_reason,
     is_admissible,
     is_compact,
-    matching_automorphisms,
-    quaternionic_commensurable,
-    triples_equivalent,
 )
 from .errors import DescriptorError, QuathypError
 from .fields import real_signature
@@ -48,19 +48,17 @@ def load_payload(arg: str):
     """Inline JSON (objects, lists, numbers, p/q strings) or a path to a
     JSON file."""
     text = arg.strip()
-    if text and (text[0] in '{["-0123456789'):
-        if "/" in text and text[0] not in '{["':
-            return text  # fraction shorthand like 1/2
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DescriptorError(f"not valid JSON: {exc}") from None
-    with open(arg, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    inline = bool(text) and text[0] in '{["-0123456789'
+    if inline and "/" in text and text[0] not in '{["':
+        return text  # fraction shorthand like 1/2
+    where = "" if inline else f" in {arg}"
     try:
+        if not inline:
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DescriptorError(f"not valid JSON in {arg}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, syntax, digit count, nesting
+        raise DescriptorError(f"not valid JSON{where}: {exc}") from None
 
 
 def _emit(result: dict, lines: list[str], args) -> None:
@@ -115,7 +113,6 @@ def _cmd_ramification(args):
 
 def _cmd_invariants(args):
     payload = load_payload(args.form)
-    entries = []
     if isinstance(payload, dict) and "algebra" in payload:
         h = serialize.parse_hermitian_form(payload)
         q = trace_form(h)
@@ -133,27 +130,20 @@ def _cmd_invariants(args):
             serialize.place_to_str(v): list(signature_at(q, v))
             for v in q.field.real_places()
         }
-    for v in form_support(q):
-        if v.is_real:
-            continue
-        inv = local_invariants(q, v)
-        entries.append(
-            {
-                "place": serialize.place_to_str(v),
-                "dim": inv.dim,
-                "det": serialize.element_to_json(inv.det_class),
-                "hasse": inv.hasse,
-            }
-        )
+    local = {
+        serialize.place_to_str(v): local_invariants(q, v) for v in form_support(q) if v.is_finite
+    }
+    entries = [
+        {"place": name, "dim": inv.dim, "det": serialize.element_to_json(inv.det_class),
+         "hasse": inv.hasse}
+        for name, inv in local.items()
+    ]
     result = {"kind": kind, "signatures": sig, "local": entries}
     lines = [header]
     for name, s in sig.items():
         lines.append(f"  signature at {name}: ({s[0]}, {s[1]})")
-    for e in entries:
-        lines.append(
-            f"  at {e['place']}: dim {e['dim']}, det class "
-            f"{serialize.parse_element(e['det'], q.field)}, hasse {e['hasse']:+d}"
-        )
+    for name, inv in local.items():
+        lines.append(f"  at {name}: dim {inv.dim}, det class {inv.det_class}, hasse {inv.hasse:+d}")
     return result, lines, False
 
 
@@ -180,43 +170,16 @@ def _cmd_commensurable(args):
     if isinstance(p1, dict) and "v0" in p1:
         t1 = serialize.parse_triple(p1, "/left")
         t2 = serialize.parse_triple(p2, "/right")
-        verdict = triples_equivalent(t1, t2)
-        # one field automorphism sends t2.v0 to t1.v0, so the verdict and
-        # the fields alone name the reason
-        if verdict:
-            reason = "equivalent triples"
-        elif t1.field != t2.field:
-            reason = "fields differ"
-        else:
-            reason = "ramification sets differ"
+        why_not, positive = inequivalence_reason(t1, t2), "equivalent triples"
     else:
         d1 = serialize.parse_ambient(p1, "/left")
         d2 = serialize.parse_ambient(p2, "/right")
-        if d1.kind == "split" or d2.kind == "split":
-            verdict = general_cn_commensurable(d1, d2)
-        else:
-            verdict = quaternionic_commensurable(d1, d2)
-        if verdict:
-            reason = "commensurable"
-        elif d1.kind != d2.kind:
-            reason = "one class is split, the other is not"
-        elif d1.n != d2.n:
-            reason = "ranks differ"
-        elif d1.field != d2.field:
-            reason = "fields differ"
-        elif d1.kind == "nonsplit":
-            reason = _descriptor_reason(d1, d2)
-        else:
-            reason = "class invariants differ"
+        why_not, positive = incommensurability_reason(d1, d2), "commensurable"
+    verdict = why_not is None
+    reason = why_not or positive
     result = {"commensurable": verdict, "reason": reason}
     lines = [f"commensurable: {'yes' if verdict else 'no'} ({reason})"]
     return result, lines, not verdict
-
-
-def _descriptor_reason(d1, d2) -> str:
-    if matching_automorphisms(d1.form.algebra, d2.form.algebra):
-        return "signatures differ at a real place"
-    return "ramification sets differ"
 
 
 def _cmd_admissible(args):
@@ -244,20 +207,7 @@ def _cmd_canonical_form(args):
 def _cmd_embeds_real(args):
     q = serialize.parse_quadratic_form(load_payload(args.form), "/form")
     ambient = serialize.parse_ambient(load_payload(args.ambient), "/ambient")
-    verdict = embeds_real(q, ambient)
-    result = {
-        "embeds": verdict.embeds,
-        "witness": serialize.hermitian_to_json(verdict.witness)
-        if verdict.witness
-        else None,
-        "failed_condition": verdict.failed_condition,
-    }
-    lines = [f"embeds: {'yes' if verdict.embeds else 'no'}"]
-    if verdict.embeds:
-        lines.append(f"witness: {verdict.witness}")
-    else:
-        lines.append(f"failed condition: {verdict.failed_condition}")
-    return result, lines, not verdict.embeds
+    return _embedding_output(embeds_real(q, ambient), print_witness=True)
 
 
 def _cmd_embeds_complex(args):
@@ -269,17 +219,20 @@ def _cmd_embeds_complex(args):
         base = serialize.parse_quadratic_form(data_payload, "/data")
         c = serialize.parse_element(load_payload(args.c), base.field, "/c")
         data = ComplexRestrictionData(c, base.coeffs)
-    verdict = embeds_complex(data, ambient)
+    return _embedding_output(embeds_complex(data, ambient), print_witness=False)
+
+
+def _embedding_output(verdict, print_witness: bool):
     result = {
         "embeds": verdict.embeds,
-        "witness": serialize.hermitian_to_json(verdict.witness)
-        if verdict.witness
-        else None,
+        "witness": serialize.hermitian_to_json(verdict.witness) if verdict.witness else None,
         "failed_condition": verdict.failed_condition,
     }
     lines = [f"embeds: {'yes' if verdict.embeds else 'no'}"]
     if not verdict.embeds:
         lines.append(f"failed condition: {verdict.failed_condition}")
+    elif print_witness:
+        lines.append(f"witness: {verdict.witness}")
     return result, lines, not verdict.embeds
 
 
@@ -382,7 +335,7 @@ def main(argv=None) -> int:
     except DescriptorError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, QuathypError, ValueError) as exc:
+    except (OSError, QuathypError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(result, lines, args)

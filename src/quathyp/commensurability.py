@@ -21,6 +21,7 @@ from .algebras import (
 from .errors import (
     DimensionMismatchError,
     NotQuaternionicHyperbolicError,
+    PreconditionError,
     UnsupportedRankError,
 )
 from .fields import Field, Place, conjugate_place, real_signature
@@ -82,17 +83,31 @@ def is_admissible(t: AdmissibleTriple) -> bool:
     return ramified_real_places(t.algebra) == t.field.real_places()
 
 
-def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
-    """Whether a field isomorphism carries t2 to t1.
+def inequivalence_reason(
+    t1: AdmissibleTriple, t2: AdmissibleTriple, misplaced: str = "ramification sets differ"
+) -> str | None:
+    """Why no field isomorphism carries t2 to t1, or None when one does.
 
     The only candidates are the identity and (for quadratic fields) the
     Galois conjugation; the isomorphism must send t2's distinguished
-    place to t1's and make the algebras isomorphic.
+    place to t1's and make the algebras isomorphic.  The reasons: the
+    fields differ, no automorphism matches the algebras (ramification
+    sets differ), or each one that does moves t2.v0 off t1.v0
+    (``misplaced``: for triples, whose v0 is given, the ramification
+    sets differ under the one automorphism sending t2.v0 to t1.v0).
     """
-    return t1.field == t2.field and any(
-        place_image(tau, t2.v0) == t1.v0
-        for tau in matching_automorphisms(t1.algebra, t2.algebra)
-    )
+    if t1.field != t2.field:
+        return "fields differ"
+    taus = matching_automorphisms(t1.algebra, t2.algebra)
+    if any(place_image(tau, t2.v0) == t1.v0 for tau in taus):
+        return None
+    return misplaced if taus else "ramification sets differ"
+
+
+def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
+    """Whether a field isomorphism carries t2 to t1 (see
+    :func:`inequivalence_reason`)."""
+    return inequivalence_reason(t1, t2) is None
 
 
 def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
@@ -104,9 +119,11 @@ def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
     other one.
     """
     if not 2 <= m <= MAX_CANONICAL_M:
-        raise ValueError(f"the canonical form needs 2 <= m <= {MAX_CANONICAL_M}, got m = {m}")
+        raise PreconditionError(
+            f"the canonical form needs 2 <= m <= {MAX_CANONICAL_M}, got m = {m}"
+        )
     if not is_admissible(t):
-        raise ValueError(f"{t} is not admissible")
+        raise PreconditionError(f"{t} is not admissible")
     field = t.field
     if field.is_rational:
         lam = field.element(-1)
@@ -195,17 +212,37 @@ def triple_of(desc: OrbifoldClassDescriptor) -> AdmissibleTriple:
     return AdmissibleTriple(field, v0, D)
 
 
-def quaternionic_commensurable(
-    d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor
-) -> bool:
-    """Commensurability of two quaternionic hyperbolic classes: equal
-    dimension and equivalent triples."""
+def _quaternionic_reason(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor) -> str | None:
     t1, t2 = triple_of(d1), triple_of(d2)
     if d1.form.dim != d2.form.dim:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {d1.form.dim - 1} vs {d2.form.dim - 1}"
         )
-    return triples_equivalent(t1, t2)
+    # the signatures pick each distinguished place
+    return inequivalence_reason(t1, t2, "signatures differ at a real place")
+
+
+def quaternionic_commensurable(
+    d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor
+) -> bool:
+    """Commensurability of two quaternionic hyperbolic classes: equal
+    dimension and equivalent triples."""
+    return _quaternionic_reason(d1, d2) is None
+
+
+def incommensurability_reason(
+    d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor
+) -> str | None:
+    """Why two classes are not commensurable, or None when they are: the
+    quaternionic decision for two nonsplit classes, the type C_n one
+    when either is split."""
+    if d1.kind == d2.kind == "nonsplit":
+        return _quaternionic_reason(d1, d2)
+    if general_cn_commensurable(d1, d2):
+        return None
+    if d1.kind != d2.kind:
+        return "one class is split, the other is not"
+    return "ranks differ" if d1.n != d2.n else "fields differ"
 
 
 def _unordered(sig: tuple[int, int]) -> frozenset[tuple[int, int]]:
@@ -255,5 +292,5 @@ def is_compact(t: AdmissibleTriple) -> bool:
     isotropy.  So the decision reduces to the field.
     """
     if not is_admissible(t):
-        raise ValueError(f"{t} is not admissible")
+        raise PreconditionError(f"{t} is not admissible")
     return not t.field.is_rational

@@ -49,6 +49,11 @@ class SignaturePreconditionError(QuathypError):
     requires; the message names the offending real place."""
 
 
+class PreconditionError(QuathypError, ValueError):
+    """An argument lies outside what an operation accepts (a rank out of
+    range, an inadmissible triple); also a ValueError, as before."""
+
+
 class SearchExhaustedError(QuathypError):
     """A bounded witness search ran out of candidates."""
 

@@ -6,7 +6,9 @@ signature-(m,1) Hermitian pairing, the distance and metric formulas on
 negative lines, membership tests for the isometry group and its Lie
 algebra, an explicit ordered basis of that algebra with brackets and
 Killing values, and the Lie-triple classification of tangent subspaces
-(totally real / complex / quaternionic).
+into the totally geodesic types: totally real, totally complex, totally
+quaternionic, and real 3-spaces of curvature -4 inside a quaternionic
+line (Chen-Nagano, Duke Math. J. 45, 1978).
 
 Everything here is numerical; exact arithmetic lives in the other
 modules.  Tolerances are module constants.
@@ -20,6 +22,7 @@ import random
 import sys
 from functools import lru_cache
 
+from .errors import PreconditionError
 from .records import Record, set_field
 
 
@@ -52,7 +55,21 @@ MAX_REPORT_M = 16
 TOTALLY_REAL = "totally-real"
 TOTALLY_COMPLEX = "totally-complex"
 TOTALLY_QUATERNIONIC = "totally-quaternionic"
+#: a real 3-space of curvature -4 inside a quaternionic line, u.span(i, j, k)
+REAL_3_SPACE_IN_LINE = "real-3-space-in-line"
 NOT_LIE_TRIPLE = "not-lie-triple"
+
+#: The totally geodesic types, each with its rule on k = dim W and
+#: r = dim_R(W.H) (the real span of W under right multiplication by
+#: 1, i, j, k), and its standard span: the first ``axes`` coordinate axes
+#: (``None``: the ``dim`` asked for) times the listed units (indices
+#: into 1, i, j, k).
+GEODESIC_TYPES = {
+    TOTALLY_REAL: (lambda k, r: r == 4 * k, None, (0,)),
+    TOTALLY_COMPLEX: (lambda k, r: r == 2 * k, 1, (0, 1)),
+    TOTALLY_QUATERNIONIC: (lambda k, r: r == k, 2, (0, 1, 2, 3)),
+    REAL_3_SPACE_IN_LINE: (lambda k, r: (k, r) == (3, 4), 1, (1, 2, 3)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -592,50 +609,34 @@ def lie_triple_closure(W: SubspaceSpan) -> bool:
 
 
 def classify_subspace(W: SubspaceSpan) -> str:
-    """Classify a tangent subspace by its pairing values, gated by
-    triple-product closure.
-
-    All pairwise h0 values real: totally real.  Pure parts confined to
-    one common imaginary direction: totally complex.  Pure parts of
-    rank >= 2: totally quaternionic.  Not closed: not a Lie triple.
-    """
+    """The entry of ``GEODESIC_TYPES`` whose rule r = dim_R(W.H) meets
+    k = dim W, gated by triple-product closure (not closed: not a Lie
+    triple)."""
     if not lie_triple_closure(W):
         return NOT_LIE_TRIPLE
-    vals = _h0_gram(W.vectors).reshape(-1, 4)
-    scale = max(1.0, float(np.abs(vals).max()))
-    pures = vals[:, 1:]
-    if float(np.abs(pures).max()) <= SPAN_TOLERANCE * scale:
-        return TOTALLY_REAL
-    s = np.linalg.svd(pures, compute_uv=False)
-    if s[1] <= SPAN_TOLERANCE * s[0]:
-        return TOTALLY_COMPLEX
-    return TOTALLY_QUATERNIONIC
+    k = W.count
+    WH = quat_mul(W.vectors[None], np.stack(_quat_units())[:, None, None])
+    s = np.linalg.svd(WH.reshape(4 * k, -1), compute_uv=False)
+    r = int((s > SPAN_TOLERANCE * s[0]).sum())
+    for kind, (rule, _, _) in GEODESIC_TYPES.items():
+        if rule(k, r):
+            return kind
+    raise RuntimeError(f"a closed span with k = {k}, r = {r} fits no totally geodesic type")
 
 
 def standard_span(m: int, kind: str, dim: int = 2) -> SubspaceSpan:
-    """Canonical spans of each class: the real span of the first ``dim``
-    coordinate axes (totally-real), the complex line through e_1
-    (totally-complex), or the quaternionic plane through e_1, e_2
-    (totally-quaternionic)."""
-    def axis(i: int, unit: np.ndarray) -> np.ndarray:
-        v = np.zeros((m, 4))
-        v[i] = unit
-        return v
-
-    units = _quat_units()
-    if kind == TOTALLY_REAL:
-        if dim > m:
-            raise ValueError("not enough axes")
-        vecs = [axis(i, units[0]) for i in range(dim)]
-    elif kind == TOTALLY_COMPLEX:
-        vecs = [axis(0, units[0]), axis(0, units[1])]
-    elif kind == TOTALLY_QUATERNIONIC:
-        if m < 2:
-            raise ValueError("needs m >= 2")
-        vecs = [axis(i, u) for i in range(2) for u in units]
-    else:
+    """The standard span of a ``GEODESIC_TYPES`` entry: its units times
+    each of its first coordinate axes, ``dim`` axes for totally-real."""
+    if kind not in GEODESIC_TYPES:
         raise ValueError(f"unknown kind {kind!r}")
-    return SubspaceSpan(np.stack(vecs))
+    _, axes, units = GEODESIC_TYPES[kind]
+    axes = dim if axes is None else axes
+    if axes > m:
+        raise ValueError(f"{kind} needs m >= {axes}")
+    vecs = np.zeros((axes, len(units), m, 4))
+    for i in range(axes):
+        vecs[i, range(len(units)), i, units] = 1.0
+    return SubspaceSpan(vecs.reshape(-1, m, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -701,9 +702,9 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
     :func:`killing_corner_value` for the derivation).
     """
     if not 2 <= m <= MAX_REPORT_M:
-        raise ValueError(f"the report needs 2 <= m <= {MAX_REPORT_M}, got m = {m}")
+        raise PreconditionError(f"the report needs 2 <= m <= {MAX_REPORT_M}, got m = {m}")
     if samples < 1:
-        raise ValueError(f"the report needs at least one sample, got {samples}")
+        raise PreconditionError(f"the report needs at least one sample, got {samples}")
     rng = random.Random(seed)
     one, i_unit, j_unit, _ = _quat_units()
     checks = []
@@ -783,23 +784,17 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         f"max form deviation of sampled isometries {group_dev:.2e}",
     )
 
-    expected = {
-        TOTALLY_REAL: classify_subspace(standard_span(m, TOTALLY_REAL)),
-        TOTALLY_COMPLEX: classify_subspace(standard_span(m, TOTALLY_COMPLEX)),
-        TOTALLY_QUATERNIONIC: classify_subspace(
-            standard_span(m, TOTALLY_QUATERNIONIC)
-        ),
-    }
     perturbed = np.zeros((2, m, 4))
     perturbed[0, 0] = one
     perturbed[1, 1] = j_unit
     perturbed[1, 0] = 0.3 * i_unit
-    classify_ok = all(k == v for k, v in expected.items()) and (
-        classify_subspace(SubspaceSpan(perturbed)) == NOT_LIE_TRIPLE
-    )
+    classify_ok = all(
+        classify_subspace(standard_span(m, kind)) == kind for kind in GEODESIC_TYPES
+    ) and classify_subspace(SubspaceSpan(perturbed)) == NOT_LIE_TRIPLE
     check(
         "triple-classification", classify_ok, True, classify_ok,
-        "canonical spans of each class and a perturbed non-example",
+        f"standard spans of the {len(GEODESIC_TYPES)} totally geodesic types "
+        "and a perturbed non-example",
     )
 
     return {

@@ -3,13 +3,19 @@
 A Hermitian form (for the standard involution) diagonalizes with central
 entries, so a form is stored as its algebra plus a tuple of nonzero
 field coefficients.  Its isometry class is carried entirely by the
-4n-dimensional trace form over the base field, which is what the
-decision procedures below compare.
+4n-dimensional trace form over the base field; only the isometry
+decision still compares trace forms.  Isotropy is read off the algebra
+and the signs at its ramified real places (local-global principle).
 """
 
 from __future__ import annotations
 
-from .algebras import QuaternionAlgebra, is_division, ramified_real_places
+from .algebras import (
+    QuaternionAlgebra,
+    algebras_isomorphic,
+    is_division,
+    ramified_real_places,
+)
 from .errors import (
     AlgebraMismatchError,
     DimensionMismatchError,
@@ -18,12 +24,7 @@ from .errors import (
     PlaceKindError,
 )
 from .fields import Field, FieldElement, Place, real_signature
-from .quadratic import (
-    LocalQuadInvariants,
-    QuadraticForm,
-    forms_isometric,
-    isotropic_global,
-)
+from .quadratic import LocalQuadInvariants, QuadraticForm, forms_isometric
 from .records import Record, set_field
 from .symbols import hilbert_symbol
 
@@ -110,8 +111,6 @@ def hermitian_isometric(h1: HermitianForm, h2: HermitianForm) -> bool:
     Requires isomorphic algebras and equal dimensions, then delegates to
     the trace forms, which determine the Hermitian isometry class.
     """
-    from .algebras import algebras_isomorphic
-
     if h1.field != h2.field or not algebras_isomorphic(h1.algebra, h2.algebra):
         raise AlgebraMismatchError(
             "Hermitian isometry needs isomorphic coefficient algebras"
@@ -143,11 +142,12 @@ def signature_at_ramified(h: HermitianForm, v: Place) -> tuple[int, int]:
 def hermitian_isotropic_global(h: HermitianForm) -> bool:
     """Whether h represents 0 nontrivially over the algebra.
 
-    For dim 1 the trace form is a scaled norm form, which is anisotropic
-    exactly when the algebra is division, so the dim > 4 shortcut inside
-    the trace-form route does not apply and the answer is read off the
-    algebra.  For dim >= 2 the trace form decides.
+    By the local-global principle: <a> represents 0 exactly when the
+    algebra is split.  From dim 2 on, every place where the algebra is
+    split, and every finite place, carries an isotropic form, so h is
+    isotropic exactly when it is indefinite at each real place where the
+    algebra ramifies (Scharlau, *Quadratic and Hermitian Forms*, Ch. 10).
     """
     if h.dim == 1:
         return not is_division(h.algebra)
-    return isotropic_global(trace_form(h))
+    return all(0 not in real_signature(h.coeffs, v) for v in ramified_real_places(h.algebra))

@@ -25,6 +25,7 @@ from .commensurability import (
 from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
+    PreconditionError,
     SearchExhaustedError,
     SignaturePreconditionError,
     SquareArgumentError,
@@ -71,7 +72,7 @@ class ComplexRestrictionData(Record):
 
     def __init__(self, c: FieldElement, coeffs: tuple[FieldElement, ...]):
         if not c:
-            raise ValueError("subfield generator must be nonzero")
+            raise PreconditionError("subfield generator must be nonzero")
         if is_global_square(c):
             raise SquareArgumentError(f"{c} is a square; k(sqrt(c)) would not be quadratic")
         if not coeffs:
@@ -247,7 +248,7 @@ def surface_witness(t: AdmissibleTriple) -> QuadraticForm:
     two-dimensional canonical ambient before being returned.
     """
     if not is_admissible(t):
-        raise ValueError(f"{t} is not admissible")
+        raise PreconditionError(f"{t} is not admissible")
     field = t.field
     for n in range(1, LADDER_BOUND + 1):
         for lam in _witness_candidates(t, n):

@@ -37,8 +37,8 @@ import quathyp.geometry as geo
 from quathyp.algebras import algebras_isomorphic, conjugate_algebra, ramified_real_places
 from quathyp.commensurability import IDENTITY, field_automorphisms, place_image
 from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place, real_signature
-from quathyp.hermitian import HermitianForm, signature_at_ramified
-from quathyp.quadratic import form_support, same_square_class, signature_at
+from quathyp.hermitian import HermitianForm, signature_at_ramified, trace_form
+from quathyp.quadratic import form_support, isotropic_global, same_square_class, signature_at
 from quathyp.symbols import symbol_support
 
 # ---------------------------------------------------------------------------
@@ -595,6 +595,12 @@ def finite_volume_flag(h) -> bool:
     return any(0 not in real_signature(h.coeffs, v) for v in h.field.real_places())
 
 
+def hermitian_isotropic_by_trace_form(h) -> bool:
+    """Isotropy of a Hermitian form read off its 4n-dimensional trace
+    form over the base field, which is isotropic exactly when h is."""
+    return isotropic_global(trace_form(h))
+
+
 def triples_equivalent_by_images(t1, t2) -> bool:
     """Whether some field automorphism tau sends t2.v0 to t1.v0 and
     makes t1.algebra isomorphic to tau(t2.algebra), the algebra with
@@ -708,6 +714,14 @@ def lie_triple_closure_loop(W) -> bool:
         if np.linalg.norm(resid) > geo.SPAN_TOLERANCE * max(1.0, np.linalg.norm(t)):
             return False
     return True
+
+
+def sectional_curvature(X, Y, c: float = 1.0) -> float:
+    """K(X, Y) = -c (1 + 3 sum_q <X, Y q>^2) over q = i, j, k, for
+    tangent vectors X, Y in H^m orthonormal for <,> = Re h0: the
+    curvature tensor of quaternionic hyperbolic space whose curvatures
+    span [-4c, -c]."""
+    return -c * (1.0 + 3.0 * sum(float(geo.h0(X, geo.quat_mul(Y, q))[0]) ** 2 for q in geo.QUAT_UNITS[1:]))
 
 
 def bracket_identity_dev_loop(m: int) -> float:

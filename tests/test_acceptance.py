@@ -293,16 +293,17 @@ def test_hilbert_reciprocity():
 
 
 def test_lie_triple_classification_and_perturbations():
-    """Canonical spans of each geometric kind classify correctly for
-    m = 2..4; 100 random perturbations of them are rejected as non-triples."""
-    kinds = (geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC)
+    """Canonical spans of each totally geodesic type classify correctly
+    for m = 2..4; 100 random perturbations of them are rejected as
+    non-triples."""
+    kinds = (geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC, geo.REAL_3_SPACE_IN_LINE)
     for m in (2, 3, 4):
         for kind in kinds:
             assert geo.classify_subspace(geo.standard_span(m, kind)) == kind
     rng = np.random.default_rng(1212)
     rejected = 0
     while rejected < 100:
-        kind = kinds[int(rng.integers(0, 3))]
+        kind = kinds[int(rng.integers(0, len(kinds)))]
         # The quaternionic span at m=2 is the whole tangent space, which no
         # perturbation can leave; perturb it only where it is proper.
         m = int(rng.integers(3, 5)) if kind == geo.TOTALLY_QUATERNIONIC else int(rng.integers(2, 5))

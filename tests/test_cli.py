@@ -7,9 +7,17 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quathyp
 from quathyp.cli import main
+from quathyp.commensurability import canonical_hermitian
+from quathyp.errors import PreconditionError
+from quathyp.fields import QQ
+from quathyp.geometry import geometry_report
+from quathyp.serialize import parse_triple
+from quathyp.subspaces import ComplexRestrictionData, surface_witness
 
 RATIONAL = '{"base": "Q"}'
 HAMILTON_TRIPLE = (
@@ -252,7 +260,7 @@ class TestCommensurable:
     def test_descriptor_reasons_over_a_quadratic_field(self, capsys, ramification_calls):
         """A negative nonsplit verdict at one field and rank names its reason
         from the Galois images of the two ramification sets: one set per
-        algebra for the verdict and one per algebra for the reason."""
+        algebra, built once for the verdict and its reason together."""
 
         def amb(a1, b):  # <1, 1, -sqrt(5)> is indefinite at inf_0 only
             return (
@@ -265,10 +273,10 @@ class TestCommensurable:
         # which moves the distinguished place
         code, out, _ = run(capsys, "commensurable", amb(-1, -1), amb(1, -1))
         assert code == 0 and out == "commensurable: no (signatures differ at a real place)\n"
-        assert len(ramification_calls) == 4
+        assert len(ramification_calls) == 2
         code, out, _ = run(capsys, "commensurable", amb(-1, -1), amb(-1, -3))
         assert code == 0 and out == "commensurable: no (ramification sets differ)\n"
-        assert len(ramification_calls) == 8
+        assert len(ramification_calls) == 4
 
 
 class TestAdmissible:
@@ -438,6 +446,147 @@ class TestErrorHandling:
         code, out, err = run(capsys, "commensurable", ambient(-1, b), ambient(-1, -1))
         assert code == 2 and out == ""
         assert err.startswith("error: could not split a 49-bit integer")
+
+
+class TestExitCodes:
+    """Exit 2 belongs to input errors and to input a decision does not
+    accept, raised as `PreconditionError`; any other exception is a bug
+    and propagates."""
+
+    def test_preconditions_are_typed(self):
+        t = parse_triple(json.loads(triple(2, 5)))  # not admissible
+        cases = [
+            (lambda: canonical_hermitian(t, 2), f"{t} is not admissible"),
+            (lambda: canonical_hermitian(t, 1025), "the canonical form needs 2 <= m <= 1024, got m = 1025"),
+            (lambda: surface_witness(t), f"{t} is not admissible"),
+            (lambda: geometry_report(1), "the report needs 2 <= m <= 16, got m = 1"),
+            (lambda: geometry_report(2, samples=0), "the report needs at least one sample, got 0"),
+            (lambda: ComplexRestrictionData(QQ.zero, (QQ.one,)), "subfield generator must be nonzero"),
+        ]
+        for build, message in cases:
+            with pytest.raises(PreconditionError) as info:
+                build()
+            assert isinstance(info.value, ValueError) and str(info.value) == message
+
+    def test_other_exceptions_are_not_input_errors(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr("quathyp.cli.surface_witness", broken)
+        with pytest.raises(ValueError, match="internal"):
+            main(["surface-witness", HAMILTON_TRIPLE])
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ("[" * 100_000, "maximum recursion depth exceeded"),
+            ("1" * 5000, "Exceeds the limit (4300 digits)"),
+        ],
+    )
+    def test_hostile_json_is_an_input_error(self, capsys, payload, message):
+        code, out, err = run(capsys, "ramification", payload)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: not valid JSON: ") and message in err
+
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(capsys, "ramification", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: not valid JSON in {path}: 'utf-8' codec")
+
+
+FIELD_JSON = [{"base": "Q"}] + [{"base": "quadratic", "d": d} for d in (5, 3, 6, 17)]
+#: arbitrary JSON: what a malformed payload may hold in place of any part
+JUNK = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-50, 50)
+    | st.sampled_from([0, 1.5, 2**300, "1/0", "3/4", "-7", "x", "inf_1", "11#1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a0", "a1", "a", "b", "c", "base", "d", "coeffs", "kind", "n"]), inner, max_size=3),
+    max_leaves=6,
+)
+DROP = object()
+
+
+def _parts(obj, path=()):
+    """The paths to every part of a JSON value, itself included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _parts(value, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    out = dict(obj) if isinstance(obj, dict) else list(obj)
+    if len(path) == 1 and value is DROP:
+        del out[path[0]]
+    else:
+        out[path[0]] = _replaced(out[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def mutated(draw, template):
+    """The template with up to two parts replaced by arbitrary JSON or
+    dropped."""
+    for path in draw(st.lists(st.sampled_from(list(_parts(template))), max_size=2, unique=True)):
+        try:
+            template = _replaced(template, path, draw(JUNK | st.just(DROP) if path else JUNK))
+        except (KeyError, IndexError, TypeError):  # inside a part replaced before
+            pass
+    return template
+
+
+@st.composite
+def malformed_invocations(draw):
+    field = draw(st.sampled_from(FIELD_JSON))
+    elem = st.sampled_from([-1, -2, -3, 2, 3, 5, -7] + ([{"a0": -1, "a1": 1}] if "d" in field else []))
+    algebra = {"a": draw(elem), "b": draw(elem)}
+    qform = {"field": field, "coeffs": draw(st.lists(elem, min_size=1, max_size=4))}
+    hform = {**qform, "algebra": algebra}
+    triple_ = {"field": field, "v0": {"embedding": draw(st.sampled_from([0, 1]))}, "algebra": algebra}
+    ambient_ = {"kind": "nonsplit", "form": {**hform, "coeffs": [1, 1, -1]}}
+    split = {"kind": "split", "field": field, "n": 3}
+    m = draw(st.sampled_from(["-1", "1", "2", "3", "1025"]))
+    command, options, templates = draw(
+        st.sampled_from(
+            [
+                ("symbol", ["--field", json.dumps(field)], [-1, {"a0": 3, "a1": 1}]),
+                ("ramification", [], [{**algebra, "field": field}]),
+                ("invariants", [], [hform]),
+                ("isometric", [], [qform, qform]),
+                ("isometric", [], [hform, hform]),
+                ("commensurable", [], [triple_, triple_]),
+                ("commensurable", [], [ambient_, ambient_]),
+                ("commensurable", [], [ambient_, split]),
+                ("admissible", [], [triple_]),
+                ("canonical-form", ["--m", m], [triple_]),
+                ("embeds-real", [], [qform, ambient_]),
+                ("embeds-complex", [], [draw(elem), qform, ambient_]),
+                ("embeds-complex", [], [0, {**qform, "c": -7}, ambient_]),
+                ("surface-witness", [], [triple_]),
+                ("verify-geometry", ["--m", m, "--samples", draw(st.sampled_from(["-1", "0", "1"]))], []),
+            ]
+        )
+    )
+    if command == "verify-geometry" and m not in ("-1", "1", "2"):
+        options[1] = "2"  # the report's cost grows like m^4
+    flags = draw(st.lists(st.sampled_from(["--json", "--strict"]), unique=True))
+    payloads = [json.dumps(draw(mutated(t))) for t in templates]
+    return [command, *flags, *options] + (["--", *payloads] if payloads else [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(malformed_invocations())
+def test_malformed_payloads_exit_0_1_or_2(argv):
+    """No payload, however malformed, ends in anything but a decision or
+    an error message: no other exit code and no traceback."""
+    code = main(argv)
+    assert code in (0, 1, 2)
 
 
 def test_console_script_is_installed():

@@ -15,6 +15,9 @@ import quathyp.geometry as geo
 
 RNG = np.random.default_rng(90125)
 
+#: every totally geodesic type, as listed by Chen and Nagano
+KINDS = [geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC, geo.REAL_3_SPACE_IN_LINE]
+
 
 def random_quat(shape=()):
     return RNG.standard_normal(shape + (4,))
@@ -285,10 +288,11 @@ class TestKillingForm:
 
 
 class TestSubspaceClassification:
+    def test_table_lists_every_type(self):
+        assert list(geo.GEODESIC_TYPES) == KINDS
+
     @pytest.mark.parametrize("m", [2, 3])
-    @pytest.mark.parametrize(
-        "kind", [geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC]
-    )
+    @pytest.mark.parametrize("kind", KINDS)
     def test_standard_spans(self, m, kind):
         W = geo.standard_span(m, kind)
         assert geo.lie_triple_closure(W)
@@ -299,6 +303,11 @@ class TestSubspaceClassification:
         assert geo.standard_span(3, geo.TOTALLY_REAL, dim=3).count == 3
         assert geo.standard_span(2, geo.TOTALLY_COMPLEX).count == 2
         assert geo.standard_span(2, geo.TOTALLY_QUATERNIONIC).count == 8
+        assert geo.standard_span(1, geo.REAL_3_SPACE_IN_LINE).count == 3
+        with pytest.raises(ValueError, match="needs m >= 2"):
+            geo.standard_span(1, geo.TOTALLY_QUATERNIONIC)
+        with pytest.raises(ValueError, match="unknown kind"):
+            geo.standard_span(2, geo.NOT_LIE_TRIPLE)
 
     def test_complex_span_survives_right_rotation(self):
         q = random_quat()
@@ -325,29 +334,49 @@ class TestSubspaceClassification:
 
     @staticmethod
     def _spans(m):
-        """Standard spans and their images under a random Sp(m) rotation,
-        real 2- and 3-planes in a random quaternionic line (all closed),
-        and random spans of every size (not closed).  In a 3-plane
-        u.span(1, i, j) the last term of the triple product leaves the
-        span and only the full sum stays inside."""
-        for kind in (geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC):
+        """(type, span) pairs: standard spans and their images under a
+        random Sp(m) rotation, real 2- and 3-planes in a random
+        quaternionic line (complex lines and real 3-spaces), and random
+        spans of every size (not closed, but for a line and the whole
+        space).  In a 3-plane u.span(1, i, j) the last term of the triple
+        product leaves the span and only the full sum stays inside."""
+        for kind in KINDS:
             if kind == geo.TOTALLY_QUATERNIONIC and m < 2:
                 continue
             W = geo.standard_span(m, kind, dim=min(2, m))
-            yield W
+            yield kind, W
             B = RNG.standard_normal((m, m, 4))
             U = geo.matrix_exp(B - geo.mat_conj_transpose(B))
-            yield geo.SubspaceSpan(np.stack([geo.mat_mul(U, v) for v in W.vectors]))
+            yield kind, geo.SubspaceSpan(np.stack([geo.mat_mul(U, v) for v in W.vectors]))
         u = RNG.standard_normal((m, 4))
-        for k in (2, 3):
-            yield geo.SubspaceSpan(geo.quat_mul(u, RNG.standard_normal((k, 1, 4))))
+        for k, kind in ((2, geo.TOTALLY_COMPLEX), (3, geo.REAL_3_SPACE_IN_LINE)):
+            yield kind, geo.SubspaceSpan(geo.quat_mul(u, RNG.standard_normal((k, 1, 4))))
         for k in range(1, 4 * m + 1, 3):
-            yield geo.SubspaceSpan(RNG.standard_normal((k, m, 4)))
+            kind = {1: geo.TOTALLY_REAL, 4 * m: geo.TOTALLY_QUATERNIONIC}.get(k, geo.NOT_LIE_TRIPLE)
+            yield kind, geo.SubspaceSpan(RNG.standard_normal((k, m, 4)))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_types_and_sectional_curvatures(self, m):
+        """Each span classifies as its type, and random planes in it have
+        the type's sectional curvatures (the curvature-tensor oracle with
+        c = 1): -1 when totally real, -4 in a real 3-space of a line, and
+        within [-4, -1] when complex or quaternionic."""
+        bounds = {geo.TOTALLY_REAL: (-1.0, -1.0), geo.REAL_3_SPACE_IN_LINE: (-4.0, -4.0)}
+        for kind, W in self._spans(m):
+            assert geo.classify_subspace(W) == kind
+            if kind == geo.NOT_LIE_TRIPLE or W.count < 2:
+                continue
+            lo, hi = bounds.get(kind, (-4.0, -1.0))
+            Q = W.orthonormal_flat()
+            for _ in range(8):
+                P, _ = np.linalg.qr(Q @ RNG.standard_normal((W.count, 2)))
+                X, Y = P.T.reshape(2, m, 4)
+                assert lo - 1e-9 <= oracles.sectional_curvature(X, Y) <= hi + 1e-9, kind
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_batched_closure_matches_loop(self, m):
         verdicts = []
-        for W in self._spans(m):
+        for _, W in self._spans(m):
             verdicts.append(oracles.lie_triple_closure_loop(W))
             assert geo.lie_triple_closure(W) == verdicts[-1]
         assert True in verdicts
@@ -357,7 +386,7 @@ class TestSubspaceClassification:
     def test_sliced_closure_matches_loop(self, monkeypatch):
         # one slice per first index, as for spans too large for one batch
         monkeypatch.setattr(geo, "_CLOSURE_CHUNK", 1)
-        for W in self._spans(2):
+        for _, W in self._spans(2):
             assert geo.lie_triple_closure(W) == oracles.lie_triple_closure_loop(W)
 
 

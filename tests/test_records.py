@@ -12,7 +12,7 @@ import pytest
 
 from quathyp.algebras import QuaternionAlgebra, quaternion_algebra
 from quathyp.commensurability import AdmissibleTriple, OrbifoldClassDescriptor
-from quathyp.errors import FieldMismatchError, SquareArgumentError
+from quathyp.errors import FieldMismatchError, PreconditionError, SquareArgumentError
 from quathyp.fields import QQ, SPLIT_FIRST, Field, Place
 from quathyp.geometry import SubspaceSpan
 from quathyp.hermitian import HermitianForm, hermitian_form
@@ -172,7 +172,7 @@ def test_field_hashes_q_to_zero():
         ),
         (
             lambda: ComplexRestrictionData(QQ.zero, (QQ.one,)),
-            ValueError,
+            PreconditionError,
             "subfield generator must be nonzero",
         ),
         (

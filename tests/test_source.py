@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of the library or of its tests
-imports is used in it, no library module imports numpy when it is
-itself imported, and none uses ``dataclasses``."""
+imports is used in it, no library module imports inside a function body
+or imports numpy when it is itself imported, and none uses
+``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,33 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_name():
     source = "from math import gcd, lcm\nimport os.path\nimport json as j\nprint(gcd, j)\n"
     assert unused_imports(source) == ["lcm (line 1)", "os (line 2)"]
+
+
+def function_imports(source: str) -> list[str]:
+    """Import statements inside the body of a function."""
+    lines = {
+        inner.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    }
+    return [f"line {line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_function_level_imports(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_function_import_guard_sees_nested_bodies():
+    source = (
+        "import math\n"
+        "def f():\n    from .algebras import x\n    return x\n"
+        "class A:\n    import json\n"
+        "    def g(self):\n        def h():\n            import os\n        return h\n"
+    )
+    assert function_imports(source) == ["line 3", "line 9"]
 
 
 def _is_module(name, module: str) -> bool:
