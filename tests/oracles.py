@@ -721,7 +721,8 @@ def sectional_curvature(X, Y, c: float = 1.0) -> float:
     tangent vectors X, Y in H^m orthonormal for <,> = Re h0: the
     curvature tensor of quaternionic hyperbolic space whose curvatures
     span [-4c, -c]."""
-    return -c * (1.0 + 3.0 * sum(float(geo.h0(X, geo.quat_mul(Y, q))[0]) ** 2 for q in geo.QUAT_UNITS[1:]))
+    pairings = [float(geo.h0(X, geo.quat_mul(Y, q))[0]) for q in geo.QUAT_UNITS[1:]]
+    return -c * (1.0 + 3.0 * sum(p * p for p in pairings))
 
 
 def bracket_identity_dev_loop(m: int) -> float:

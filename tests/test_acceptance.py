@@ -296,7 +296,9 @@ def test_lie_triple_classification_and_perturbations():
     """Canonical spans of each totally geodesic type classify correctly
     for m = 2..4; 100 random perturbations of them are rejected as
     non-triples."""
-    kinds = (geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC, geo.REAL_3_SPACE_IN_LINE)
+    kinds = (
+        geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC, geo.REAL_3_SPACE_IN_LINE
+    )
     for m in (2, 3, 4):
         for kind in kinds:
             assert geo.classify_subspace(geo.standard_span(m, kind)) == kind

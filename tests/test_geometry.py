@@ -16,7 +16,9 @@ import quathyp.geometry as geo
 RNG = np.random.default_rng(90125)
 
 #: every totally geodesic type, as listed by Chen and Nagano
-KINDS = [geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC, geo.REAL_3_SPACE_IN_LINE]
+KINDS = [
+    geo.TOTALLY_REAL, geo.TOTALLY_COMPLEX, geo.TOTALLY_QUATERNIONIC, geo.REAL_3_SPACE_IN_LINE
+]
 
 
 def random_quat(shape=()):
