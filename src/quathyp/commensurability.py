@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     NotQuaternionicHyperbolicError,
     PreconditionError,
+    SignaturePreconditionError,
     UnsupportedRankError,
 )
 from .fields import Field, Place, conjugate_place, real_signature
@@ -44,18 +45,27 @@ def place_image(tau: str, v: Place) -> Place:
     return v if tau == IDENTITY else conjugate_place(v)
 
 
-def matching_automorphisms(D1: QuaternionAlgebra, D2: QuaternionAlgebra) -> tuple[str, ...]:
-    """The field automorphisms tau with D1 isomorphic to tau(D2).
+def _match_reason(
+    D1: QuaternionAlgebra, marks1: dict, D2: QuaternionAlgebra, marks2: dict, misplaced: str
+) -> str | None:
+    """Why no field automorphism tau makes D1 isomorphic to tau(D2) and
+    carries the marks (labels keyed by place) of D2 onto those of D1, or
+    None when one does; ``misplaced`` when some tau matches the algebras
+    but none the marks.
 
     Ram(tau D) = tau(Ram D) (Maclachlan-Reid, section 2.7), so each
     ramification set is built once and tau acts on its places, not on
     the algebra's parameters."""
+    if D1.field != D2.field:
+        return "fields differ"
     ram1, ram2 = ramification_set(D1), ramification_set(D2)
-    return tuple(
-        tau
-        for tau in field_automorphisms(D1.field)
-        if ram1 == {place_image(tau, v) for v in ram2}
-    )
+    reason = "ramification sets differ"
+    for tau in field_automorphisms(D1.field):
+        if ram1 == {place_image(tau, v) for v in ram2}:
+            if marks1 == {place_image(tau, v): mark for v, mark in marks2.items()}:
+                return None
+            reason = misplaced
+    return reason
 
 
 class AdmissibleTriple(Record):
@@ -86,22 +96,13 @@ def is_admissible(t: AdmissibleTriple) -> bool:
 def inequivalence_reason(
     t1: AdmissibleTriple, t2: AdmissibleTriple, misplaced: str = "ramification sets differ"
 ) -> str | None:
-    """Why no field isomorphism carries t2 to t1, or None when one does.
-
-    The only candidates are the identity and (for quadratic fields) the
-    Galois conjugation; the isomorphism must send t2's distinguished
-    place to t1's and make the algebras isomorphic.  The reasons: the
-    fields differ, no automorphism matches the algebras (ramification
-    sets differ), or each one that does moves t2.v0 off t1.v0
-    (``misplaced``: for triples, whose v0 is given, the ramification
+    """Why no field isomorphism carries t2 to t1, or None when one does:
+    it must make the algebras isomorphic and send t2.v0 to t1.v0.  When
+    every one that matches the algebras moves t2.v0 off t1.v0 the reason
+    is ``misplaced`` (for triples, whose v0 is given, the ramification
     sets differ under the one automorphism sending t2.v0 to t1.v0).
     """
-    if t1.field != t2.field:
-        return "fields differ"
-    taus = matching_automorphisms(t1.algebra, t2.algebra)
-    if any(place_image(tau, t2.v0) == t1.v0 for tau in taus):
-        return None
-    return misplaced if taus else "ramification sets differ"
+    return _match_reason(t1.algebra, {t1.v0: "v0"}, t2.algebra, {t2.v0: "v0"}, misplaced)
 
 
 def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
@@ -132,11 +133,17 @@ def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
     else:
         lam = field.sqrt_d
     h = HermitianForm(t.algebra, (field.one,) * m + (lam,))
-    for v in field.real_places():
-        expected = (m, 1) if v == t.v0 else (m + 1, 0)
-        if real_signature(h.coeffs, v) != expected:  # pragma: no cover
-            raise RuntimeError(f"canonical form has wrong signature at {v}")
+    _check_hyperbolic_signatures(h.coeffs, t, m + 1)
     return h
+
+
+def _check_hyperbolic_signatures(coeffs, t: AdmissibleTriple, dim: int) -> None:
+    # (dim-1, 1) at the distinguished place, positive definite at the others
+    for v in t.field.real_places():
+        expected = (dim - 1, 1) if v == t.v0 else (dim, 0)
+        got = real_signature(coeffs, v)
+        if got != expected:
+            raise SignaturePreconditionError(f"signature at {v} is {got}, required {expected}")
 
 
 class OrbifoldClassDescriptor(Record):
@@ -222,9 +229,7 @@ def _quaternionic_reason(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescripto
     return inequivalence_reason(t1, t2, "signatures differ at a real place")
 
 
-def quaternionic_commensurable(
-    d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor
-) -> bool:
+def quaternionic_commensurable(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor) -> bool:
     """Commensurability of two quaternionic hyperbolic classes: equal
     dimension and equivalent triples."""
     return _quaternionic_reason(d1, d2) is None
@@ -238,48 +243,39 @@ def incommensurability_reason(
     when either is split."""
     if d1.kind == d2.kind == "nonsplit":
         return _quaternionic_reason(d1, d2)
-    if general_cn_commensurable(d1, d2):
-        return None
+    return _cn_reason(d1, d2)
+
+
+def _cn_reason(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor) -> str | None:
+    if d1.n < 3 or d2.n < 3:
+        raise UnsupportedRankError("type C_n decisions require n >= 3")
     if d1.kind != d2.kind:
         return "one class is split, the other is not"
-    return "ranks differ" if d1.n != d2.n else "fields differ"
-
-
-def _unordered(sig: tuple[int, int]) -> frozenset[tuple[int, int]]:
+    if d1.n != d2.n:
+        return "ranks differ"
+    if d1.kind == "split":
+        return None if d1.field == d2.field else "fields differ"
     # a similarity scaling can flip all signs at a real place
     # independently of the others, so only the unordered pair matters
-    return frozenset((sig, (sig[1], sig[0])))
+    marks1, marks2 = (
+        {v: tuple(sorted(real_signature(h.coeffs, v))) for v in ramified_real_places(h.algebra)}
+        for h in (d1.form, d2.form)
+    )
+    return _match_reason(
+        d1.form.algebra, marks1, d2.form.algebra, marks2, "signatures differ at a real place"
+    )
 
 
-def general_cn_commensurable(
-    d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor
-) -> bool:
+def general_cn_commensurable(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor) -> bool:
     """Commensurability decision for type C_n classes, n >= 3.
 
     Split/split: same field and same rank.  Split/nonsplit: never.
     Nonsplit/nonsplit: same rank, isomorphic fields, and some field
     automorphism making the algebras isomorphic while matching, place by
     place, the unordered signature pairs at the real places where the
-    algebras ramify.  The algebras are compared by the Galois images of
-    their ramification sets, each built once (:func:`matching_automorphisms`).
+    algebras ramify (:func:`_match_reason`).
     """
-    if d1.n < 3 or d2.n < 3:
-        raise UnsupportedRankError("type C_n decisions require n >= 3")
-    if d1.kind != d2.kind:
-        return False
-    if d1.kind == "split":
-        return d1.field == d2.field and d1.n == d2.n
-    if d1.n != d2.n or d1.field != d2.field:
-        return False
-    h1, h2 = d1.form, d2.form
-    ram_reals = ramified_real_places(h1.algebra)
-    sigs1 = [_unordered(real_signature(h1.coeffs, v)) for v in ram_reals]
-    # a matching tau carries Ram(D2) onto Ram(D1), so each tau(v) ramifies in D2
-    return any(
-        sigs1
-        == [_unordered(real_signature(h2.coeffs, place_image(tau, v))) for v in ram_reals]
-        for tau in matching_automorphisms(h1.algebra, h2.algebra)
-    )
+    return _cn_reason(d1, d2) is None
 
 
 def is_compact(t: AdmissibleTriple) -> bool:

@@ -18,6 +18,7 @@ from .algebras import QuaternionAlgebra, subfield_embeds
 from .commensurability import (
     AdmissibleTriple,
     OrbifoldClassDescriptor,
+    _check_hyperbolic_signatures,
     canonical_hermitian,
     is_admissible,
     triple_of,
@@ -31,7 +32,7 @@ from .errors import (
     SquareArgumentError,
     SubfieldEmbeddingError,
 )
-from .fields import FieldElement, is_global_square, real_signature
+from .fields import FieldElement, is_global_square
 from .hermitian import HermitianForm, hermitian_isometric
 from .quadratic import QuadraticForm, isotropic_global
 from .records import Record, set_field
@@ -152,17 +153,6 @@ class EmbeddingVerdict(Record):
         set_field(self, "embeds", embeds)
         set_field(self, "witness", witness)
         set_field(self, "failed_condition", failed_condition)
-
-
-def _check_hyperbolic_signatures(coeffs, t: AdmissibleTriple, dim: int) -> None:
-    # (dim-1, 1) at the distinguished place, definite at the others
-    for v in t.field.real_places():
-        expected = (dim - 1, 1) if v == t.v0 else (dim, 0)
-        got = real_signature(coeffs, v)
-        if got != expected:
-            raise SignaturePreconditionError(
-                f"signature at {v} is {got}, required {expected}"
-            )
 
 
 def embeds_real(q: QuadraticForm, ambient: OrbifoldClassDescriptor) -> EmbeddingVerdict:
