@@ -179,10 +179,6 @@ class FieldElement(Record):
     def __bool__(self) -> bool:
         return self.n0 != 0 or self.n1 != 0
 
-    @property
-    def is_rational_value(self) -> bool:
-        return self.n1 == 0
-
     def conjugate(self) -> "FieldElement":
         """The Galois conjugate a0 - a1*sqrt(d) (identity over Q)."""
         return _make(self.field, self.n0, -self.n1, self.den)

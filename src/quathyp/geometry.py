@@ -51,6 +51,8 @@ CLAMP_TOLERANCE = 1e-12
 ZERO_BAND = 64.0 * sys.float_info.epsilon
 #: largest m the consolidated report accepts (its cost grows like m^4)
 MAX_REPORT_M = 16
+#: most samples the report accepts (its memory grows by about 2 KB a sample)
+MAX_REPORT_SAMPLES = 10_000
 
 TOTALLY_REAL = "totally-real"
 TOTALLY_COMPLEX = "totally-complex"
@@ -705,6 +707,10 @@ def geometry_report(m: int, samples: int = 25, seed: int = 7) -> dict:
         raise PreconditionError(f"the report needs 2 <= m <= {MAX_REPORT_M}, got m = {m}")
     if samples < 1:
         raise PreconditionError(f"the report needs at least one sample, got {samples}")
+    if samples > MAX_REPORT_SAMPLES:
+        raise PreconditionError(
+            f"the report needs at most {MAX_REPORT_SAMPLES} samples, got {samples}"
+        )
     rng = random.Random(seed)
     one, i_unit, j_unit, _ = _quat_units()
     checks = []

@@ -32,7 +32,7 @@ from .errors import (
     SquareArgumentError,
     SubfieldEmbeddingError,
 )
-from .fields import FieldElement, is_global_square
+from .fields import FieldElement, is_global_square, sign_at_real_place
 from .hermitian import HermitianForm, hermitian_isometric
 from .quadratic import QuadraticForm, isotropic_global
 from .records import Record, set_field
@@ -160,11 +160,14 @@ def embeds_real(q: QuadraticForm, ambient: OrbifoldClassDescriptor) -> Embedding
     geodesically in the ambient quaternionic class.
 
     The quadratic form must live over the ambient's field, have
-    dimension between 2 and the ambient dimension, and look hyperbolic
-    at the real places (signature (d, 1) at the distinguished place,
-    definite elsewhere).  It is then padded with +1 entries up to the
-    ambient dimension, extended over the algebra, and compared with the
-    ambient form; a positive verdict returns that extension as witness.
+    dimension between 2 and the ambient dimension, and arrive hyperbolic
+    at the real places: signature (d, 1) at the distinguished place,
+    positive definite elsewhere.  It is then padded with +1 entries up
+    to the ambient dimension and extended over the algebra.  Where the
+    ambient form is negative definite at the other real place, the
+    extension is scaled by +-sqrt(d), positive at the distinguished
+    place, which keeps its class.  It is then compared with the ambient
+    form; a positive verdict returns it as witness.
     """
     t = triple_of(ambient)
     if q.field != t.field:
@@ -177,11 +180,7 @@ def embeds_real(q: QuadraticForm, ambient: OrbifoldClassDescriptor) -> Embedding
             f"form dimension {q.dim} not between 2 and ambient dimension {n}"
         )
     _check_hyperbolic_signatures(q.coeffs, t, q.dim)
-    padded = q.coeffs + (t.field.one,) * (n - q.dim)
-    candidate = extend_real(QuadraticForm(t.field, padded), t.algebra)
-    if hermitian_isometric(candidate, ambient.form):
-        return EmbeddingVerdict(True, witness=candidate)
-    return EmbeddingVerdict(False, failed_condition="extension-not-isometric")
+    return _extension_verdict(q.coeffs + (t.field.one,) * (n - q.dim), t, ambient.form)
 
 
 def embeds_complex(
@@ -190,11 +189,13 @@ def embeds_complex(
     """Decide whether the complex hyperbolic class of the restriction
     data embeds totally geodesically in the ambient quaternionic class.
 
-    The data must match the ambient's field and dimension and look
-    hyperbolic at the real places.  The decisive test is whether the
-    quadratic subfield embeds in the ambient algebra: if not, the
-    verdict is negative with that as the failed condition; if so, the
-    extension is checked against the ambient form.
+    The data must match the ambient's field and dimension and arrive
+    hyperbolic at the real places: signature (n-1, 1) at the
+    distinguished place, positive definite elsewhere.  The decisive test
+    is whether the quadratic subfield embeds in the ambient algebra: if
+    not, the verdict is negative with that as the failed condition; if
+    so, the extension is checked against the ambient form as in
+    :func:`embeds_real`.
     """
     t = triple_of(ambient)
     if data.field != t.field:
@@ -209,8 +210,20 @@ def embeds_complex(
     _check_hyperbolic_signatures(data.coeffs, t, data.dim)
     if not subfield_embeds(t.algebra, data.c):
         return EmbeddingVerdict(False, failed_condition="subfield-does-not-embed")
-    candidate = HermitianForm(t.algebra, data.coeffs)  # extend_complex; subfield tested above
-    if hermitian_isometric(candidate, ambient.form):
+    return _extension_verdict(data.coeffs, t, ambient.form)  # extend_complex; subfield tested above
+
+
+def _extension_verdict(coeffs, t: AdmissibleTriple, h: HermitianForm) -> EmbeddingVerdict:
+    # The candidate is positive definite away from v0, the ambient h may
+    # be negative definite at the other real place w (triple_of accepts
+    # both).  Scaling by lam, positive at v0 and negative at w, keeps the
+    # class.
+    for w in t.field.real_places():
+        if w != t.v0 and sign_at_real_place(h.coeffs[0], w) < 0:
+            lam = t.field.sqrt_d if t.v0.embedding == 0 else -t.field.sqrt_d
+            coeffs = tuple(lam * c for c in coeffs)
+    candidate = HermitianForm(t.algebra, coeffs)
+    if hermitian_isometric(candidate, h):
         return EmbeddingVerdict(True, witness=candidate)
     return EmbeddingVerdict(False, failed_condition="extension-not-isometric")
 

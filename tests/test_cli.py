@@ -387,6 +387,13 @@ class TestVerifyGeometry:
         assert code == 2 and out == ""
         assert err == f"error: the report needs {message}\n"
 
+    def test_sample_bound_exits_2_at_once(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(capsys, "verify-geometry", "--m", "2", "--samples", "1000000000")
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == ""
+        assert err == "error: the report needs at most 10000 samples, got 1000000000\n"
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "verify-geometry", "--json", "--m", "2", "--samples", "5"

@@ -20,6 +20,7 @@ from quathyp.commensurability import (
     canonical_hermitian,
     field_automorphisms,
     general_cn_commensurable,
+    incommensurability_reason,
     is_admissible,
     is_compact,
     place_image,
@@ -330,15 +331,27 @@ class TestGeneralCnCommensurability:
         )
 
     def test_agrees_with_quaternionic_decision(self):
-        pairs = [((-1, -1), (-1, -4)), ((-1, -1), (-1, -3)), ((-2, -5), (-2, -5))]
-        for (a1, b1), (a2, b2) in pairs:
-            d1 = OrbifoldClassDescriptor.nonsplit(
-                canonical_hermitian(rational_triple(a1, b1), 2)
-            )
-            d2 = OrbifoldClassDescriptor.nonsplit(
-                canonical_hermitian(rational_triple(a2, b2), 2)
-            )
-            assert general_cn_commensurable(d1, d2) == quaternionic_commensurable(d1, d2)
+        params = [(-1, -1), (-1, -4), (-1, -3), (-2, -5)]
+        for field in (QQ, Field(5), Field(17)):
+            algebras = [quaternion_algebra(field, *map(field.element, ab)) for ab in params]
+            if not field.is_rational:
+                # -4 - sqrt(5) and -6 - sqrt(17) are totally negative, and
+                # the algebra is not isomorphic to its conjugate
+                a0 = {5: -4, 17: -6}[field.d]
+                D = quaternion_algebra(field, field.element(a0, -1), field.element(-1))
+                assert not algebras_isomorphic(D, conjugate_algebra(D))
+                algebras += [D, conjugate_algebra(D)]
+            triples = [AdmissibleTriple(field, v, E) for E in algebras for v in field.real_places()]
+            descs = [OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2)) for t in triples]
+            verdicts = set()
+            for d1 in descs:
+                for d2 in descs:
+                    got = general_cn_commensurable(d1, d2)
+                    assert got == quaternionic_commensurable(d1, d2), (str(d1.form), str(d2.form))
+                    verdicts.add((got, triple_of(d1).v0 == triple_of(d2).v0))
+            assert (False, True) in verdicts
+            # over Q(sqrt(d)) the conjugation twist: commensurable across v0
+            assert (True, field.is_rational) in verdicts
 
     def test_low_rank_rejected(self):
         with pytest.raises(UnsupportedRankError, match="n >= 3"):
@@ -357,6 +370,38 @@ class TestGeneralCnCommensurability:
             canonical_hermitian(AdmissibleTriple(k, v1, Hk), 2)
         )
         assert general_cn_commensurable(d0, d1)
+
+
+class TestIncommensurabilityReason:
+    @pytest.mark.parametrize(
+        "left,right,reason",
+        [
+            ((QQ, 3), (QQ, 3), None),
+            ((QQ, 3), (QQ, 4), "ranks differ"),
+            ((QQ, 3), (Field(5), 3), "fields differ"),
+            ((QQ, 3), (Field(5), 4), "ranks differ"),
+            ((Field(17), 5), (Field(17), 5), None),
+        ],
+    )
+    def test_split_pairs(self, left, right, reason):
+        d1, d2 = OrbifoldClassDescriptor.split(*left), OrbifoldClassDescriptor.split(*right)
+        assert incommensurability_reason(d1, d2) == reason
+        assert general_cn_commensurable(d1, d2) is (reason is None)
+
+    def test_split_and_nonsplit(self):
+        k = Field(5)
+        split = OrbifoldClassDescriptor.split(k, 3)
+        for t in (AdmissibleTriple(k, v, hamilton_over(k)) for v in k.real_places()):
+            nonsplit = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2))
+            for d1, d2 in ((split, nonsplit), (nonsplit, split)):
+                assert incommensurability_reason(d1, d2) == "one class is split, the other is not"
+        wide = OrbifoldClassDescriptor.split(k, 4)
+        assert incommensurability_reason(split, wide) == "ranks differ"
+
+    def test_low_rank_raises(self):
+        nonsplit = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(rational_triple(-1, -1), 2))
+        with pytest.raises(UnsupportedRankError, match="n >= 3"):
+            incommensurability_reason(OrbifoldClassDescriptor.split(QQ, 2), nonsplit)
 
 
 def _element(rng, field, bound):

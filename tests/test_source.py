@@ -1,5 +1,6 @@
 """Source hygiene: every name a module of the library or of its tests
-imports is used in it, no library module imports inside a function body
+imports is used in it, every private module-level function of the
+library is used in it, no library module imports inside a function body
 or imports numpy when it is itself imported, and none uses
 ``dataclasses``."""
 
@@ -137,3 +138,51 @@ def test_dataclasses_guard_sees_every_import():
     assert names_module("def f():\n    import dataclasses as dc\n", "dataclasses")
     assert names_module('importlib.import_module("dataclasses")\n', "dataclasses")
     assert not names_module('"""Slots, not dataclasses."""\nimport dataclass_x\n', "dataclasses")
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named with one leading underscore that no
+    module reads, by name, attribute or import, outside their own body."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                owner.startswith("_") and not owner.startswith("__")
+            ):
+                defined[owner] = f"{module}:{stmt.lineno}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used.add((node.id, owner))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, owner))
+                elif isinstance(node, ast.ImportFrom):
+                    used.update((alias.name, owner) for alias in node.names)
+    readers: dict[str, set] = {}
+    for name, owner in used:
+        readers.setdefault(name, set()).add(owner)
+    return sorted(
+        f"{name} ({where})"
+        for name, where in defined.items()
+        if not readers.get(name, set()) - {name}
+    )
+
+
+def test_private_functions_are_used():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreferenced_private_functions(sources) == []
+
+
+def test_private_function_guard_sees_leftovers():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n"
+            "def _left_over(x):\n    return x\n"
+            "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+            "def __getattr__(name):\n    raise AttributeError(name)\n"
+            "def _imported():\n    pass\n"
+            "class A:\n    def _method(self):\n        return _called()\n"
+        ),
+        "b.py": "from .a import _imported\nimport a\nprint(a._called)\n",
+    }
+    assert unreferenced_private_functions(sources) == ["_left_over (a.py:3)", "_recursive (a.py:5)"]

@@ -1,12 +1,15 @@
 """Tests for subspace restriction/extension and embedding verdicts."""
 
+import random
+
 import pytest
 
-from quathyp.algebras import quaternion_algebra
+from quathyp.algebras import quaternion_algebra, subfield_embeds
 from quathyp.commensurability import (
     AdmissibleTriple,
     OrbifoldClassDescriptor,
     canonical_hermitian,
+    quaternionic_commensurable,
 )
 from quathyp.errors import (
     DimensionMismatchError,
@@ -16,7 +19,7 @@ from quathyp.errors import (
     SquareArgumentError,
     SubfieldEmbeddingError,
 )
-from quathyp.fields import QQ, Field
+from quathyp.fields import QQ, Field, real_signature, sign_at_real_place
 from quathyp.hermitian import hermitian_form, hermitian_isometric
 from quathyp.quadratic import diagonal_form, isotropic_global, signature_at
 from quathyp.subspaces import (
@@ -227,6 +230,79 @@ class TestEmbedsComplex:
         )
         with pytest.raises(SignaturePreconditionError):
             embeds_complex(data, amb)
+
+
+def _signs(x, places):
+    return tuple(sign_at_real_place(x, v) for v in places)
+
+
+def _element_with_signs(rng, field, signs):
+    """A random element with the given sign at each real place."""
+    places = field.real_places()
+    while True:
+        x = field.element(rng.randint(-9, 9), rng.randint(-3, 3))
+        if x and _signs(x, places) == signs:
+            return x
+
+
+def _hyperbolic_coeffs(rng, t, dim):
+    """dim coefficients of signature (dim-1, 1) at v0, positive elsewhere."""
+    places = t.field.real_places()
+    negative = tuple(-1 if v == t.v0 else 1 for v in places)
+    coeffs = [_element_with_signs(rng, t.field, (1,) * len(places)) for _ in range(dim - 1)]
+    coeffs.insert(rng.randrange(dim), _element_with_signs(rng, t.field, negative))
+    return tuple(coeffs)
+
+
+class TestVerdictsDependOnlyOnTheClass:
+    """Scaling the ambient form by lam positive at v0 keeps its unitary
+    group, so neither embedding verdict may change, even where lam is
+    negative at the other real place."""
+
+    def test_negative_definite_away_from_v0(self):
+        k = Field(5)
+        s = k.sqrt_d
+        H = quaternion_algebra(k, k.element(-1), k.element(-1))
+        a = hermitian_form(H, k.one, k.one, -s)
+        b = hermitian_form(H, *((k.one + s) * c for c in a.coeffs))
+        A, B = OrbifoldClassDescriptor.nonsplit(a), OrbifoldClassDescriptor.nonsplit(b)
+        assert quaternionic_commensurable(A, B)
+        q = diagonal_form(k, k.one, k.one, -s)
+        data = ComplexRestrictionData(k.element(-1), q.coeffs)
+        for ambient in (A, B):
+            for verdict in (embeds_real(q, ambient), embeds_complex(data, ambient)):
+                assert verdict.embeds, verdict.failed_condition
+                assert hermitian_isometric(verdict.witness, ambient.form)
+        assert real_signature(embeds_real(q, B).witness.coeffs, k.real_places()[1]) == (0, 3)
+
+    @pytest.mark.parametrize("d", [5, 3, 6, 17])
+    def test_scaling_positive_at_v0(self, d):
+        rng = random.Random(f"scaled-ambient:{d}")
+        k = Field(d)
+        places = k.real_places()
+        seen = set()
+        for _ in range(10):
+            a, b = (_element_with_signs(rng, k, (-1, -1)) for _ in range(2))
+            t = AdmissibleTriple(k, rng.choice(places), quaternion_algebra(k, a, b))
+            n = rng.randint(3, 5)
+            h = hermitian_form(t.algebra, *_hyperbolic_coeffs(rng, t, n))
+            lam_signs = tuple(1 if v == t.v0 else rng.choice((-1, 1)) for v in places)
+            lam = _element_with_signs(rng, k, lam_signs)
+            q = diagonal_form(k, *_hyperbolic_coeffs(rng, t, rng.randint(2, n)))
+            c = _element_with_signs(rng, k, (-1, -1))
+            data = ComplexRestrictionData(c, _hyperbolic_coeffs(rng, t, n))
+            verdicts = []
+            for form in (h, hermitian_form(t.algebra, *(lam * x for x in h.coeffs))):
+                ambient = OrbifoldClassDescriptor.nonsplit(form)
+                real, cplx = embeds_real(q, ambient), embeds_complex(data, ambient)
+                assert real.embeds and hermitian_isometric(real.witness, form)
+                assert cplx.embeds is subfield_embeds(t.algebra, c), cplx.failed_condition
+                assert not cplx.embeds or hermitian_isometric(cplx.witness, form)
+                verdicts.append((real.failed_condition, cplx.embeds, cplx.failed_condition))
+            assert verdicts[0] == verdicts[1]
+            seen.add((lam_signs, cplx.embeds))
+        assert {embeds for _, embeds in seen} == {True, False}
+        assert -1 in {sign for signs, _ in seen for sign in signs}
 
 
 class TestSurfaceWitness:
