@@ -46,10 +46,10 @@ def place_image(tau: str, v: Place) -> Place:
 
 
 def _match_reason(
-    D1: QuaternionAlgebra, marks1: dict, D2: QuaternionAlgebra, marks2: dict, misplaced: str
+    D1: QuaternionAlgebra, marks1: list, D2: QuaternionAlgebra, marks2: list, misplaced: str
 ) -> str | None:
     """Why no field automorphism tau makes D1 isomorphic to tau(D2) and
-    carries the marks (labels keyed by place) of D2 onto those of D1, or
+    carries the marks ((place, label) pairs) of D2 onto those of D1, or
     None when one does; ``misplaced`` when some tau matches the algebras
     but none the marks.
 
@@ -62,7 +62,7 @@ def _match_reason(
     reason = "ramification sets differ"
     for tau in field_automorphisms(D1.field):
         if ram1 == {place_image(tau, v) for v in ram2}:
-            if marks1 == {place_image(tau, v): mark for v, mark in marks2.items()}:
+            if set(marks1) == {(place_image(tau, v), mark) for v, mark in marks2}:
                 return None
             reason = misplaced
     return reason
@@ -102,7 +102,7 @@ def inequivalence_reason(
     is ``misplaced`` (for triples, whose v0 is given, the ramification
     sets differ under the one automorphism sending t2.v0 to t1.v0).
     """
-    return _match_reason(t1.algebra, {t1.v0: "v0"}, t2.algebra, {t2.v0: "v0"}, misplaced)
+    return _match_reason(t1.algebra, [(t1.v0, "v0")], t2.algebra, [(t2.v0, "v0")], misplaced)
 
 
 def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
@@ -258,7 +258,7 @@ def _cn_reason(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor) -> str 
     # a similarity scaling can flip all signs at a real place
     # independently of the others, so only the unordered pair matters
     marks1, marks2 = (
-        {v: tuple(sorted(real_signature(h.coeffs, v))) for v in ramified_real_places(h.algebra)}
+        [(v, tuple(sorted(real_signature(h.coeffs, v)))) for v in ramified_real_places(h.algebra)]
         for h in (d1.form, d2.form)
     )
     return _match_reason(
