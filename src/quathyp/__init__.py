@@ -18,7 +18,6 @@ from .errors import (
     PlaceKindError,
     PreconditionError,
     QuathypError,
-    SearchExhaustedError,
     SignaturePreconditionError,
     SquareArgumentError,
     SubfieldEmbeddingError,

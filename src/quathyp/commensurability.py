@@ -25,7 +25,7 @@ from .errors import (
     SignaturePreconditionError,
     UnsupportedRankError,
 )
-from .fields import Field, Place, conjugate_place, real_signature
+from .fields import Field, FieldElement, Place, conjugate_place, real_signature
 from .hermitian import HermitianForm
 from .records import Record, set_field
 
@@ -113,11 +113,8 @@ def triples_equivalent(t1: AdmissibleTriple, t2: AdmissibleTriple) -> bool:
 
 def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
     """The canonical (m+1)-dimensional form <1, ..., 1, lam> for the
-    triple: lam negative exactly at the distinguished place.
-
-    Over Q: lam = -1.  Over Q(sqrt(d)): lam = -sqrt(d) when v0 is the
-    embedding sending sqrt(d) to +sqrt(d), and +sqrt(d) when v0 is the
-    other one.
+    triple: lam = -1 over Q and -sqrt(d) or +sqrt(d) over Q(sqrt(d)),
+    negative exactly at the distinguished place (:func:`_v0_root`).
     """
     if not 2 <= m <= MAX_CANONICAL_M:
         raise PreconditionError(
@@ -125,25 +122,32 @@ def canonical_hermitian(t: AdmissibleTriple, m: int) -> HermitianForm:
         )
     if not is_admissible(t):
         raise PreconditionError(f"{t} is not admissible")
-    field = t.field
-    if field.is_rational:
-        lam = field.element(-1)
-    elif t.v0.embedding == 0:
-        lam = -field.sqrt_d
-    else:
-        lam = field.sqrt_d
-    h = HermitianForm(t.algebra, (field.one,) * m + (lam,))
-    _check_hyperbolic_signatures(h.coeffs, t, m + 1)
-    return h
+    return HermitianForm(t.algebra, (t.field.one,) * m + (-_v0_root(t),))
 
 
-def _check_hyperbolic_signatures(coeffs, t: AdmissibleTriple, dim: int) -> None:
-    # (dim-1, 1) at the distinguished place, positive definite at the others
+def _v0_root(t: AdmissibleTriple) -> FieldElement:
+    """1 over Q; over Q(sqrt(d)) whichever of +-sqrt(d) is positive at
+    the distinguished place, and so negative at the other real place."""
+    if t.field.is_rational:
+        return t.field.one
+    return t.field.sqrt_d if t.v0.embedding == 0 else -t.field.sqrt_d
+
+
+def _hyperbolic_coeffs(coeffs, t: AdmissibleTriple) -> tuple[FieldElement, ...]:
+    """The coefficients with signature (n-1, 1) at the distinguished
+    place and positive definite at the others.  Coefficients negative
+    definite away from v0 are first scaled by :func:`_v0_root`, which
+    keeps the class; any other signature raises."""
+    n = len(coeffs)
     for v in t.field.real_places():
-        expected = (dim - 1, 1) if v == t.v0 else (dim, 0)
         got = real_signature(coeffs, v)
+        if v != t.v0 and got == (0, n):
+            root = _v0_root(t)
+            coeffs, got = tuple(root * c for c in coeffs), (n, 0)
+        expected = (n - 1, 1) if v == t.v0 else (n, 0)
         if got != expected:
             raise SignaturePreconditionError(f"signature at {v} is {got}, required {expected}")
+    return coeffs
 
 
 class OrbifoldClassDescriptor(Record):

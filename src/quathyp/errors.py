@@ -54,10 +54,6 @@ class PreconditionError(QuathypError, ValueError):
     range, an inadmissible triple); also a ValueError, as before."""
 
 
-class SearchExhaustedError(QuathypError):
-    """A bounded witness search ran out of candidates."""
-
-
 class FactoringBudgetError(QuathypError):
     """An integer could not be split within the factoring step budget
     (`numtheory.FACTOR_STEP_BUDGET`): it has two or more large prime

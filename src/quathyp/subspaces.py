@@ -18,7 +18,8 @@ from .algebras import QuaternionAlgebra, subfield_embeds
 from .commensurability import (
     AdmissibleTriple,
     OrbifoldClassDescriptor,
-    _check_hyperbolic_signatures,
+    _hyperbolic_coeffs,
+    _v0_root,
     canonical_hermitian,
     is_admissible,
     triple_of,
@@ -27,18 +28,13 @@ from .errors import (
     DimensionMismatchError,
     FieldMismatchError,
     PreconditionError,
-    SearchExhaustedError,
-    SignaturePreconditionError,
     SquareArgumentError,
     SubfieldEmbeddingError,
 )
 from .fields import FieldElement, is_global_square, sign_at_real_place
 from .hermitian import HermitianForm, hermitian_isometric
-from .quadratic import QuadraticForm, isotropic_global
+from .quadratic import QuadraticForm
 from .records import Record, set_field
-
-#: largest coefficient multiplier tried by :func:`surface_witness`
-LADDER_BOUND = 100
 
 
 def subform(h: HermitianForm, indices) -> HermitianForm:
@@ -160,14 +156,15 @@ def embeds_real(q: QuadraticForm, ambient: OrbifoldClassDescriptor) -> Embedding
     geodesically in the ambient quaternionic class.
 
     The quadratic form must live over the ambient's field, have
-    dimension between 2 and the ambient dimension, and arrive hyperbolic
-    at the real places: signature (d, 1) at the distinguished place,
-    positive definite elsewhere.  It is then padded with +1 entries up
-    to the ambient dimension and extended over the algebra.  Where the
-    ambient form is negative definite at the other real place, the
-    extension is scaled by +-sqrt(d), positive at the distinguished
-    place, which keeps its class.  It is then compared with the ambient
-    form; a positive verdict returns it as witness.
+    dimension between 2 and the ambient dimension, and be hyperbolic at
+    the real places: signature (d, 1) at the distinguished place and
+    definite at the others, of either sign, like the ambient.  A form
+    negative definite away from v0 is scaled by whichever of +-sqrt(d)
+    is positive at v0, which keeps its class.  It is then padded with +1
+    entries up to the ambient dimension and extended over the algebra,
+    scaled the same way where the ambient form is negative definite away
+    from v0, and compared with the ambient form; a positive verdict
+    returns the extension as witness.
     """
     t = triple_of(ambient)
     if q.field != t.field:
@@ -179,8 +176,8 @@ def embeds_real(q: QuadraticForm, ambient: OrbifoldClassDescriptor) -> Embedding
         raise DimensionMismatchError(
             f"form dimension {q.dim} not between 2 and ambient dimension {n}"
         )
-    _check_hyperbolic_signatures(q.coeffs, t, q.dim)
-    return _extension_verdict(q.coeffs + (t.field.one,) * (n - q.dim), t, ambient.form)
+    coeffs = _hyperbolic_coeffs(q.coeffs, t)
+    return _extension_verdict(coeffs + (t.field.one,) * (n - q.dim), t, ambient.form)
 
 
 def embeds_complex(
@@ -189,12 +186,13 @@ def embeds_complex(
     """Decide whether the complex hyperbolic class of the restriction
     data embeds totally geodesically in the ambient quaternionic class.
 
-    The data must match the ambient's field and dimension and arrive
+    The data must match the ambient's field and dimension and be
     hyperbolic at the real places: signature (n-1, 1) at the
-    distinguished place, positive definite elsewhere.  The decisive test
-    is whether the quadratic subfield embeds in the ambient algebra: if
-    not, the verdict is negative with that as the failed condition; if
-    so, the extension is checked against the ambient form as in
+    distinguished place and definite at the others, of either sign,
+    scaled as in :func:`embeds_real`.  The decisive test is whether the
+    quadratic subfield embeds in the ambient algebra: if not, the
+    verdict is negative with that as the failed condition; if so, the
+    extension is checked against the ambient form as in
     :func:`embeds_real`.
     """
     t = triple_of(ambient)
@@ -207,69 +205,45 @@ def embeds_complex(
         raise DimensionMismatchError(
             f"data dimension {data.dim} does not match ambient dimension {n}"
         )
-    _check_hyperbolic_signatures(data.coeffs, t, data.dim)
+    coeffs = _hyperbolic_coeffs(data.coeffs, t)
     if not subfield_embeds(t.algebra, data.c):
         return EmbeddingVerdict(False, failed_condition="subfield-does-not-embed")
-    return _extension_verdict(data.coeffs, t, ambient.form)  # extend_complex; subfield tested above
+    return _extension_verdict(coeffs, t, ambient.form)  # extend_complex; subfield tested above
 
 
 def _extension_verdict(coeffs, t: AdmissibleTriple, h: HermitianForm) -> EmbeddingVerdict:
     # The candidate is positive definite away from v0, the ambient h may
     # be negative definite at the other real place w (triple_of accepts
-    # both).  Scaling by lam, positive at v0 and negative at w, keeps the
-    # class.
+    # both).  Scaling by the root, positive at v0 and negative at w,
+    # keeps the class.
     for w in t.field.real_places():
         if w != t.v0 and sign_at_real_place(h.coeffs[0], w) < 0:
-            lam = t.field.sqrt_d if t.v0.embedding == 0 else -t.field.sqrt_d
-            coeffs = tuple(lam * c for c in coeffs)
+            root = _v0_root(t)
+            coeffs = tuple(root * c for c in coeffs)
     candidate = HermitianForm(t.algebra, coeffs)
     if hermitian_isometric(candidate, h):
         return EmbeddingVerdict(True, witness=candidate)
     return EmbeddingVerdict(False, failed_condition="extension-not-isometric")
 
 
-def _witness_candidates(t: AdmissibleTriple, n: int):
-    field = t.field
-    if field.is_rational:
-        yield field.element(-n)
-        return
-    s = field.sqrt_d
-    yield from (-n * s, n * s, field.element(-n), field.element(n))
-
-
 def surface_witness(t: AdmissibleTriple) -> QuadraticForm:
-    """A ternary quadratic form <1, 1, lam> carrying a real hyperbolic
-    surface inside the triple's class.
+    """A ternary quadratic form <1, 1, lam> carrying a closed real
+    hyperbolic surface inside the triple's class.
 
-    lam walks a fixed deterministic ladder (multiples of sqrt(d) first
-    over quadratic fields, then rational integers, alternating signs)
-    until the form has signature (2, 1) at the distinguished place, is
-    definite at every other real place, and is globally anisotropic —
-    over Q the anisotropy is a real constraint (it makes the surface
-    closed), over a quadratic field it comes for free from definiteness
-    at the conjugate place.  The result is verified to embed in the
-    two-dimensional canonical ambient before being returned.
+    It has signature (2, 1) at the distinguished place and is globally
+    anisotropic, which makes the surface closed.  Over Q, lam = -3: 3 is
+    not a sum of two rational squares.  Over Q(sqrt(d)), lam is minus
+    whichever of +-sqrt(d) is positive at the distinguished place: the
+    form is then definite at the other real place, hence anisotropic.
+    The result is verified to embed in the two-dimensional canonical
+    ambient before being returned.
     """
     if not is_admissible(t):
         raise PreconditionError(f"{t} is not admissible")
     field = t.field
-    for n in range(1, LADDER_BOUND + 1):
-        for lam in _witness_candidates(t, n):
-            q = QuadraticForm(field, (field.one, field.one, lam))
-            try:
-                _check_hyperbolic_signatures(q.coeffs, t, 3)
-            except SignaturePreconditionError:
-                continue
-            if isotropic_global(q):
-                continue
-            ambient = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2))
-            verdict = embeds_real(q, ambient)
-            if not verdict.embeds:  # pragma: no cover
-                raise RuntimeError(
-                    f"witness {q} unexpectedly fails to embed: "
-                    f"{verdict.failed_condition}"
-                )
-            return q
-    raise SearchExhaustedError(
-        f"no surface witness found with ladder bound {LADDER_BOUND}"
-    )
+    lam = field.element(-3) if field.is_rational else -_v0_root(t)
+    q = QuadraticForm(field, (field.one, field.one, lam))
+    verdict = embeds_real(q, OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2)))
+    if not verdict.embeds:  # pragma: no cover
+        raise RuntimeError(f"witness {q} unexpectedly fails to embed: {verdict.failed_condition}")
+    return q

@@ -18,9 +18,11 @@ sp(m,1) model, the Killing form is the trace of ad(A) ad(B) in basis
 coordinates, Lie-triple closure is tested one triple at a time and the
 structural bracket identities one bracket at a time.  Commensurability
 is decided one field automorphism at a time, with the conjugate algebra's
-ramification set built from its own parameters.  The oracles are slow
-and simple on purpose.  Field elements are checked against arithmetic
-on pairs of Fraction coordinates, with a gcd on every operation.
+ramification set built from its own parameters, and the surface witness
+is the first form of a search over a ladder of candidates.  The oracles
+are slow and simple on purpose.  Field elements are checked against
+arithmetic on pairs of Fraction coordinates, with a gcd on every
+operation.
 """
 
 from __future__ import annotations
@@ -38,7 +40,13 @@ from quathyp.algebras import algebras_isomorphic, conjugate_algebra, ramified_re
 from quathyp.commensurability import IDENTITY, field_automorphisms, place_image
 from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place, real_signature
 from quathyp.hermitian import HermitianForm, signature_at_ramified, trace_form
-from quathyp.quadratic import form_support, isotropic_global, same_square_class, signature_at
+from quathyp.quadratic import (
+    QuadraticForm,
+    form_support,
+    isotropic_global,
+    same_square_class,
+    signature_at,
+)
 from quathyp.symbols import symbol_support
 
 # ---------------------------------------------------------------------------
@@ -628,6 +636,31 @@ def nonsplit_commensurable_by_images(d1, d2) -> bool:
         ):
             return True
     return False
+
+
+def surface_witness_by_ladder(t):
+    """The first ternary form <1, 1, lam> with signature (2, 1) at v0,
+    positive definite at every other real place and globally
+    anisotropic, with lam walking a fixed ladder: for n = 1, ..., 100,
+    -n over Q, and -n sqrt(d), n sqrt(d), -n, n over Q(sqrt(d)).  None
+    when the ladder runs out."""
+    field = t.field
+    for n in range(1, 101):
+        if field.is_rational:
+            lams = (field.element(-n),)
+        else:
+            s = field.sqrt_d
+            lams = (-n * s, n * s, field.element(-n), field.element(n))
+        for lam in lams:
+            coeffs = (field.one, field.one, lam)
+            if all(
+                real_signature(coeffs, v) == ((2, 1) if v == t.v0 else (3, 0))
+                for v in field.real_places()
+            ):
+                q = QuadraticForm(field, coeffs)
+                if not isotropic_global(q):
+                    return q
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from quathyp.commensurability import canonical_hermitian
 from quathyp.errors import PreconditionError
 from quathyp.fields import QQ
 from quathyp.geometry import geometry_report
-from quathyp.serialize import parse_triple
+from quathyp.hermitian import hermitian_isometric
+from quathyp.serialize import parse_ambient, parse_hermitian_form, parse_triple
 from quathyp.subspaces import ComplexRestrictionData, surface_witness
 
 RATIONAL = '{"base": "Q"}'
@@ -331,6 +332,23 @@ class TestEmbeddings:
         q = f'{{"field": {RATIONAL}, "coeffs": [1, 1, -1]}}'
         code, out, _ = run(capsys, "embeds-complex", "--", "-7", q, ambient(-1, -3))
         assert code == 0 and "embeds: yes" in out
+
+    def test_form_negative_definite_away_from_v0(self, capsys):
+        # (1 + sqrt 5) <1, 1, -sqrt 5>, of signature (0, 3) at inf_1, is
+        # the class of <1, 1, -sqrt 5>
+        field = '{"base": "quadratic", "d": 5}'
+        unit = '{"a0": 1, "a1": 1}'
+        q = f'{{"field": {field}, "coeffs": [{unit}, {unit}, {{"a0": -5, "a1": -1}}]}}'
+        amb = (
+            f'{{"kind": "nonsplit", "form": {{"field": {field}, '
+            f'"algebra": {{"a": -1, "b": -1}}, "coeffs": [1, 1, {{"a1": -1}}]}}}}'
+        )
+        code, out, err = run(capsys, "embeds-real", "--json", q, amb)
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["embeds"] is True
+        witness = parse_hermitian_form(data["witness"])
+        assert hermitian_isometric(witness, parse_ambient(json.loads(amb)).form)
 
 
 class TestSurfaceWitness:

@@ -23,7 +23,6 @@ from quathyp.fields import QQ, Field, real_signature, sign_at_real_place
 from quathyp.hermitian import hermitian_form, hermitian_isometric
 from quathyp.quadratic import diagonal_form, isotropic_global, signature_at
 from quathyp.subspaces import (
-    LADDER_BOUND,
     ComplexRestrictionData,
     EmbeddingVerdict,
     embeds_complex,
@@ -36,7 +35,7 @@ from quathyp.subspaces import (
     surface_witness,
 )
 
-from oracles import finite_volume_flag
+from oracles import finite_volume_flag, surface_witness_by_ladder
 
 
 def hamilton_ambient(m=2):
@@ -240,12 +239,12 @@ def _element_with_signs(rng, field, signs):
     """A random element with the given sign at each real place."""
     places = field.real_places()
     while True:
-        x = field.element(rng.randint(-9, 9), rng.randint(-3, 3))
+        x = field.element(rng.randint(-9, 9), 0 if field.is_rational else rng.randint(-3, 3))
         if x and _signs(x, places) == signs:
             return x
 
 
-def _hyperbolic_coeffs(rng, t, dim):
+def _random_hyperbolic_coeffs(rng, t, dim):
     """dim coefficients of signature (dim-1, 1) at v0, positive elsewhere."""
     places = t.field.real_places()
     negative = tuple(-1 if v == t.v0 else 1 for v in places)
@@ -255,9 +254,9 @@ def _hyperbolic_coeffs(rng, t, dim):
 
 
 class TestVerdictsDependOnlyOnTheClass:
-    """Scaling the ambient form by lam positive at v0 keeps its unitary
-    group, so neither embedding verdict may change, even where lam is
-    negative at the other real place."""
+    """Scaling the ambient form, the quadratic form or the complex data
+    by lam positive at v0 keeps its class, so neither embedding verdict
+    may change, even where lam is negative at the other real place."""
 
     def test_negative_definite_away_from_v0(self):
         k = Field(5)
@@ -281,28 +280,64 @@ class TestVerdictsDependOnlyOnTheClass:
         k = Field(d)
         places = k.real_places()
         seen = set()
+
+        def scalar(t):
+            signs = tuple(1 if v == t.v0 else rng.choice((-1, 1)) for v in places)
+            return signs, _element_with_signs(rng, k, signs)
+
         for _ in range(10):
             a, b = (_element_with_signs(rng, k, (-1, -1)) for _ in range(2))
             t = AdmissibleTriple(k, rng.choice(places), quaternion_algebra(k, a, b))
             n = rng.randint(3, 5)
-            h = hermitian_form(t.algebra, *_hyperbolic_coeffs(rng, t, n))
-            lam_signs = tuple(1 if v == t.v0 else rng.choice((-1, 1)) for v in places)
-            lam = _element_with_signs(rng, k, lam_signs)
-            q = diagonal_form(k, *_hyperbolic_coeffs(rng, t, rng.randint(2, n)))
+            h = hermitian_form(t.algebra, *_random_hyperbolic_coeffs(rng, t, n))
+            q = diagonal_form(k, *_random_hyperbolic_coeffs(rng, t, rng.randint(2, n)))
             c = _element_with_signs(rng, k, (-1, -1))
-            data = ComplexRestrictionData(c, _hyperbolic_coeffs(rng, t, n))
-            verdicts = []
+            data = ComplexRestrictionData(c, _random_hyperbolic_coeffs(rng, t, n))
+            (h_signs, lam), (q_signs, mu), (data_signs, nu) = (scalar(t) for _ in range(3))
+            verdicts = set()
             for form in (h, hermitian_form(t.algebra, *(lam * x for x in h.coeffs))):
                 ambient = OrbifoldClassDescriptor.nonsplit(form)
-                real, cplx = embeds_real(q, ambient), embeds_complex(data, ambient)
-                assert real.embeds and hermitian_isometric(real.witness, form)
-                assert cplx.embeds is subfield_embeds(t.algebra, c), cplx.failed_condition
-                assert not cplx.embeds or hermitian_isometric(cplx.witness, form)
-                verdicts.append((real.failed_condition, cplx.embeds, cplx.failed_condition))
-            assert verdicts[0] == verdicts[1]
-            seen.add((lam_signs, cplx.embeds))
+                for q_ in (q, diagonal_form(k, *(mu * x for x in q.coeffs))):
+                    real = embeds_real(q_, ambient)
+                    assert real.embeds and hermitian_isometric(real.witness, form)
+                    verdicts.add(("real", real.failed_condition))
+                for data_ in (data, ComplexRestrictionData(c, tuple(nu * x for x in data.coeffs))):
+                    cplx = embeds_complex(data_, ambient)
+                    assert cplx.embeds is subfield_embeds(t.algebra, c), cplx.failed_condition
+                    assert not cplx.embeds or hermitian_isometric(cplx.witness, form)
+                    verdicts.add(("complex", cplx.embeds, cplx.failed_condition))
+            assert len(verdicts) == 2
+            seen.add((h_signs + q_signs + data_signs, cplx.embeds))
         assert {embeds for _, embeds in seen} == {True, False}
-        assert -1 in {sign for signs, _ in seen for sign in signs}
+        assert -1 in {sign for signs, _ in seen for sign in signs[0:2]}
+        assert -1 in {sign for signs, _ in seen for sign in signs[2:4]}
+        assert -1 in {sign for signs, _ in seen for sign in signs[4:6]}
+
+    @pytest.mark.parametrize("d", [5, 3, 6, 17])
+    def test_restrictions_of_the_ambient_embed_in_it(self, d):
+        """Both restrictions of an ambient form embed in it, whichever
+        sign the form has away from v0."""
+        rng = random.Random(f"round-trip:{d}")
+        k = Field(d)
+        places = k.real_places()
+        for _ in range(3):
+            a, b = (_element_with_signs(rng, k, (-1, -1)) for _ in range(2))
+            t = AdmissibleTriple(k, rng.choice(places), quaternion_algebra(k, a, b))
+            coeffs = _random_hyperbolic_coeffs(rng, t, rng.randint(3, 5))
+            c = _element_with_signs(rng, k, (-1, -1))
+            while not subfield_embeds(t.algebra, c):
+                c = _element_with_signs(rng, k, (-1, -1))
+            for away in (1, -1):
+                signs = tuple(1 if v == t.v0 else away for v in places)
+                lam = _element_with_signs(rng, k, signs)
+                h = hermitian_form(t.algebra, *(lam * x for x in coeffs))
+                ambient = OrbifoldClassDescriptor.nonsplit(h)
+                for verdict in (
+                    embeds_real(restriction_real(h), ambient),
+                    embeds_complex(restriction_complex(h, c), ambient),
+                ):
+                    assert verdict.embeds, verdict.failed_condition
+                    assert hermitian_isometric(verdict.witness, h)
 
 
 class TestSurfaceWitness:
@@ -332,5 +367,12 @@ class TestSurfaceWitness:
         with pytest.raises(ValueError):
             surface_witness(t)
 
-    def test_ladder_bound_is_fixed(self):
-        assert LADDER_BOUND == 100
+    @pytest.mark.parametrize("d", [None, 5, 3, 6, 17])
+    def test_closed_form_is_the_first_ladder_form(self, d):
+        rng = random.Random(f"surface-witness:{d}")
+        k = QQ if d is None else Field(d)
+        for v0 in k.real_places():
+            for _ in range(4):
+                a, b = (_element_with_signs(rng, k, (-1,) * k.degree) for _ in range(2))
+                t = AdmissibleTriple(k, v0, quaternion_algebra(k, a, b))
+                assert surface_witness(t) == surface_witness_by_ladder(t)
