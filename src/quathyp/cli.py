@@ -1,19 +1,22 @@
 """Command-line front end.
 
 One executable, subcommand per decision; descriptor arguments are either
-inline JSON (anything starting with ``{`` or ``[``) or paths to JSON
-files.  ``--json`` switches to machine-readable output.  Exit status: 0
-normally, 1 when ``--strict`` is set and the decision came out negative,
-2 on malformed input (the error message carries the JSON pointer of the
-offending field) and on input a decision does not accept, such as an
-inadmissible triple or a rank out of range.  Any other exception is a
-bug and ends in a traceback.
+inline JSON or paths to JSON files.  An argument is inline when it starts
+with ``{``, ``[`` or ``"``, or when it is a JSON number (``-7``, ``1.5``)
+or a fraction ``p/q`` (``1/2``); anything else, ``7alg.json`` included,
+is a path.  ``--json`` switches to machine-readable output.  Exit status:
+0 normally, 1 when ``--strict`` is set and the decision came out
+negative, 2 on malformed input (the error message carries the JSON
+pointer of the offending field) and on input a decision does not accept,
+such as an inadmissible triple or a rank out of range.  Any other
+exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import serialize
@@ -45,12 +48,14 @@ from .symbols import hilbert_symbol, symbol_support
 
 
 def load_payload(arg: str):
-    """Inline JSON (objects, lists, numbers, p/q strings) or a path to a
-    JSON file."""
+    """Inline JSON (objects, lists, strings, numbers, p/q strings) or a
+    path to a JSON file."""
     text = arg.strip()
-    inline = bool(text) and text[0] in '{["-0123456789'
-    if inline and "/" in text and text[0] not in '{["':
+    # a JSON number, or p/q fraction shorthand (group 1)
+    scalar = re.fullmatch(r"-?\d+(?:(\s*/\s*\d+)|(?:\.\d+)?(?:[eE][-+]?\d+)?)", text)
+    if scalar and scalar[1]:
         return text  # fraction shorthand like 1/2
+    inline = bool(scalar) or text[:1] in ("{", "[", '"')
     where = "" if inline else f" in {arg}"
     try:
         if not inline:

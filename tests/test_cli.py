@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quathyp
-from quathyp.cli import main
+from quathyp.cli import load_payload, main
 from quathyp.commensurability import canonical_hermitian
 from quathyp.errors import PreconditionError
 from quathyp.fields import QQ
@@ -527,6 +527,32 @@ class TestExitCodes:
         code, out, err = run(capsys, "ramification", str(path))
         assert code == 2 and out == ""
         assert err.startswith(f"input error: not valid JSON in {path}: 'utf-8' codec")
+
+
+
+class TestPayloadArguments:
+    ALGEBRA = '{"field": {"base": "Q"}, "a": -1, "b": -3}'
+
+    @pytest.mark.parametrize("name", ["7alg.json", "-alg.json", "12/alg", "1e5.json"])
+    def test_paths_starting_with_a_digit_or_minus(self, capsys, tmp_path, monkeypatch, name):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(self.ALGEBRA, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "ramification", "--", name)
+        assert (code, err) == (0, "")
+        assert "ramifies at: inf, 3" in out
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("-7", -7), ("1/2", "1/2"), (" -3/4 ", "-3/4"), ("1.5", 1.5), ("1e5", 1e5),
+         (str(2**300), 2**300), ('"2/9"', "2/9"), ("[1, 2]", [1, 2])],
+    )
+    def test_numbers_and_fractions_are_inline(self, tmp_path, monkeypatch, arg, value):
+        # a file of the same name is not read
+        (tmp_path / arg.strip()).parent.mkdir(exist_ok=True)
+        (tmp_path / arg.strip()).write_text(self.ALGEBRA, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert load_payload(arg) == value
 
 
 FIELD_JSON = [{"base": "Q"}] + [{"base": "quadratic", "d": d} for d in (5, 3, 6, 17)]

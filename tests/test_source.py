@@ -186,3 +186,35 @@ def test_private_function_guard_sees_leftovers():
         "b.py": "from .a import _imported\nimport a\nprint(a._called)\n",
     }
     assert unreferenced_private_functions(sources) == ["_left_over (a.py:3)", "_recursive (a.py:5)"]
+
+
+def unraised_errors(errors_source: str, sources: dict[str, str]) -> list[str]:
+    """Exception classes of ``errors_source``, other than the base
+    ``QuathypError``, that no ``raise`` statement in ``sources`` names,
+    called or not, by name or attribute."""
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    tree = ast.parse(errors_source)
+    classes = (stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef))
+    return [name for name in classes if name not in raised | {"QuathypError"}]
+
+
+def test_every_error_is_raised():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unraised_errors(sources["errors.py"], sources) == []
+
+
+def test_error_guard_sees_unraised_classes():
+    errors = "".join(
+        f"class {name}(QuathypError):\n    pass\n" for name in ("A", "B", "C", "D", "E")
+    )
+    sources = {
+        "errors.py": "class QuathypError(Exception):\n    pass\n" + errors,
+        "a.py": "from .errors import C\nraise A('a')\ntry:\n    pass\nexcept C:\n    x = C\n",
+        "b.py": "from . import errors\ndef f():\n    raise errors.B from None\nraise E\n",
+    }
+    assert unraised_errors(sources["errors.py"], sources) == ["C", "D"]
