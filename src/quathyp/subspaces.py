@@ -157,8 +157,8 @@ def embeds_real(q: QuadraticForm, ambient: OrbifoldClassDescriptor) -> Embedding
 
     The quadratic form must live over the ambient's field, have
     dimension between 2 and the ambient dimension, and be hyperbolic at
-    the real places: signature (d, 1) at the distinguished place and
-    definite at the others, of either sign, like the ambient.  A form
+    the real places: signature (q.dim - 1, 1) at the distinguished place
+    and definite at the others, of either sign, like the ambient.  A form
     negative definite away from v0 is scaled by whichever of +-sqrt(d)
     is positive at v0, which keeps its class.  It is then padded with +1
     entries up to the ambient dimension and extended over the algebra,
