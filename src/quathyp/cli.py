@@ -18,6 +18,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 from . import serialize
 from .algebras import ramification_set, ramified_real_places
@@ -31,13 +32,8 @@ from .commensurability import (
 from .errors import DescriptorError, QuathypError
 from .fields import real_signature
 from .geometry import geometry_report
-from .hermitian import hermitian_isometric, trace_form
-from .quadratic import (
-    forms_isometric,
-    form_support,
-    local_invariants,
-    signature_at,
-)
+from .hermitian import hermitian_isometric, trace_invariants_closed
+from .quadratic import forms_isometric, form_support, local_invariants
 from .subspaces import (
     ComplexRestrictionData,
     embeds_complex,
@@ -120,24 +116,16 @@ def _cmd_invariants(args):
     payload = load_payload(args.form)
     if isinstance(payload, dict) and "algebra" in payload:
         h = serialize.parse_hermitian_form(payload)
-        q = trace_form(h)
-        kind = "hermitian"
-        header = f"trace-form invariants of {h}"
-        sig = {
-            serialize.place_to_str(v): list(real_signature(h.coeffs, v))
-            for v in ramified_real_places(h.algebra)
-        }
+        D, coeffs = h.algebra, h.coeffs
+        kind, header = "hermitian", f"trace-form invariants of {h}"
+        real, places = ramified_real_places(D), symbol_support(D.a, D.b, *coeffs)
+        at = partial(trace_invariants_closed, h.dim, D)  # one for every form of rank h.dim
     else:
         q = serialize.parse_quadratic_form(payload)
-        kind = "quadratic"
-        header = f"invariants of {q}"
-        sig = {
-            serialize.place_to_str(v): list(signature_at(q, v))
-            for v in q.field.real_places()
-        }
-    local = {
-        serialize.place_to_str(v): local_invariants(q, v) for v in form_support(q) if v.is_finite
-    }
+        coeffs, kind, header = q.coeffs, "quadratic", f"invariants of {q}"
+        real, places, at = q.field.real_places(), form_support(q), partial(local_invariants, q)
+    sig = {serialize.place_to_str(v): list(real_signature(coeffs, v)) for v in real}
+    local = {serialize.place_to_str(v): at(v) for v in places if v.is_finite}
     entries = [
         {"place": name, "dim": inv.dim, "det": serialize.element_to_json(inv.det_class),
          "hasse": inv.hasse}

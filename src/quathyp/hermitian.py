@@ -3,9 +3,11 @@
 A Hermitian form (for the standard involution) diagonalizes with central
 entries, so a form is stored as its algebra plus a tuple of nonzero
 field coefficients.  Its isometry class is carried entirely by the
-4n-dimensional trace form over the base field; only the isometry
-decision still compares trace forms.  Isotropy is read off the algebra
-and the signs at its ramified real places (local-global principle).
+4n-dimensional trace form over the base field.  At the finite places its
+local data has a closed form, which the CLI's ``invariants`` reports;
+only the isometry decision still builds and compares trace forms.
+Isotropy is read off the algebra and the signs at its ramified real
+places (local-global principle).
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def trace_invariants_closed(
     dim = 4m, determinant class trivial, Hasse invariant
     ((a,b)_v (-1,-1)_v)^m -- independent of the diagonal entries, which
     is what makes finite places useless for telling Hermitian forms of
-    one dimension apart.
+    one dimension apart.  The CLI's ``invariants`` reads this at the
+    support places of a, b and the entries, and builds no trace form.
     """
     if not v.is_finite:
         raise PlaceKindError(f"closed-form invariants are for finite places, got {v}")

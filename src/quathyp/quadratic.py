@@ -26,11 +26,11 @@ from .fields import (
     Place,
     _require_same_field,
     _square_class,
+    element_support_primes,
     is_global_square,
     is_local_square,
     real_signature,
 )
-from .numtheory import squarefree_part
 from .records import Record, set_field
 from .symbols import class_symbol, hilbert_symbol, symbol_support
 
@@ -97,22 +97,30 @@ class LocalQuadInvariants(Record):
         set_field(self, "signature", signature)
 
 
+def _class_rep(x: FieldElement, primes) -> FieldElement:
+    """x den^2 = n0 den + n1 den sqrt(d), divided by the largest square of
+    the given primes that divides its coordinate gcd."""
+    a, b = x.n0 * x.den, x.n1 * x.den
+    g = s = math.gcd(a, b)
+    for p in primes:
+        while s % (p * p) == 0:
+            s //= p * p
+    return x.field.element(a * s // g, b * s // g)
+
+
 def square_class_rep(x: FieldElement) -> FieldElement:
     """A reduced representative of x modulo nonzero squares.
 
-    Over Q: the squarefree integer with x's sign.  Over Q(sqrt(d)):
-    denominators are cleared by squares and the coordinate gcd's square
-    part is divided out (rational values reduce to their squarefree
-    part); class equality testing always goes through the exact square
+    Over Q: the squarefree integer with x's sign.  Over Q(sqrt(d)): x
+    den^2 with its coordinate gcd's square part divided out.  That part is
+    read over 2 and x's support primes (`element_support_primes`), which
+    is enough: an odd prime of the gcd divides den, or else n0 and n1 and
+    so the norm's numerator.  Class equality goes through the exact square
     test on ratios, so this is a normalization, not a decision procedure.
     """
     if not x:
         raise ValueError("0 has no square class")
-    # x den^2 = n0 den + n1 den sqrt(d) lies in x's class
-    a, b = x.n0 * x.den, x.n1 * x.den
-    g = math.gcd(a, b)
-    t2 = g // squarefree_part(g)  # largest square dividing the gcd
-    return x.field.element(a // t2, b // t2)
+    return _class_rep(x, element_support_primes(x) | {2})
 
 
 def same_square_class(x: FieldElement, y: FieldElement) -> bool:
@@ -149,9 +157,10 @@ def hasse_invariant(q: QuadraticForm, v: Place) -> int:
 
 def local_invariants(q: QuadraticForm, v: Place) -> LocalQuadInvariants:
     sig = signature_at(q, v) if v.is_real else None
+    # the support places' primes hold those of det's norm and denominators
     return LocalQuadInvariants(
         dim=q.dim,
-        det_class=square_class_rep(q.det()),
+        det_class=_class_rep(q.det(), {w.p for w in form_support(q) if w.is_finite}),
         hasse=hasse_invariant(q, v),
         signature=sig,
     )

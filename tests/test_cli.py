@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from quathyp.errors import PreconditionError
 from quathyp.fields import QQ
 from quathyp.geometry import geometry_report
 from quathyp.hermitian import hermitian_isometric
-from quathyp.serialize import parse_ambient, parse_hermitian_form, parse_triple
+from quathyp.serialize import parse_ambient, parse_hermitian_form, parse_triple, place_to_str
 from quathyp.subspaces import ComplexRestrictionData, surface_witness
 
 RATIONAL = '{"base": "Q"}'
@@ -178,13 +179,15 @@ class TestInvariants:
         assert "dim 8, det class 1, hasse +1" in out
 
     def test_hermitian_signatures_read_each_ramified_place_once(self, capsys, hilbert_calls):
-        # <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5))): one symbol per real place
+        # <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5))): one symbol per real place,
+        # and the closed form's (a, b)_v and (-1, -1)_v at each finite place
         payload = (
             '{"field": {"base": "quadratic", "d": 5}, "algebra": {"a": -1, "b": -1}, '
             '"coeffs": [1, 1, {"a0": 0, "a1": -1}]}'
         )
         code, out, _ = run(capsys, "invariants", payload)
-        assert code == 0 and len(hilbert_calls) == 2
+        places = Counter(place_to_str(v) for _, _, v in hilbert_calls)
+        assert code == 0 and places == {"inf_0": 1, "inf_1": 1, "2": 2, "5": 2}
         assert out == (
             "trace-form invariants of <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5)))\n"
             "  signature at inf_0: (2, 1)\n"
