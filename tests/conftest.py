@@ -6,6 +6,7 @@ import pytest
 
 import quathyp.algebras
 import quathyp.cli  # loads every module that binds the counted functions
+import quathyp.numtheory
 import quathyp.symbols
 
 
@@ -36,3 +37,10 @@ def hilbert_calls(monkeypatch):
     """The Hilbert symbols evaluated by name while the test runs (not the
     ones that Hasse invariants read off square-class keys)."""
     return _count_calls(monkeypatch, quathyp.symbols.hilbert_symbol)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The integers factored while the test runs, one argument tuple per
+    call to `numtheory.factor` (cache hits included)."""
+    return _count_calls(monkeypatch, quathyp.numtheory.factor)

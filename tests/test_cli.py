@@ -3,7 +3,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,10 +19,17 @@ import quathyp
 from quathyp.cli import load_payload, main
 from quathyp.commensurability import canonical_hermitian
 from quathyp.errors import PreconditionError
-from quathyp.fields import QQ
+from quathyp.fields import QQ, element_support_primes
 from quathyp.geometry import geometry_report
 from quathyp.hermitian import hermitian_isometric
-from quathyp.serialize import parse_ambient, parse_hermitian_form, parse_triple, place_to_str
+from quathyp.serialize import (
+    parse_ambient,
+    parse_element,
+    parse_field,
+    parse_hermitian_form,
+    parse_triple,
+    place_to_str,
+)
 from quathyp.subspaces import ComplexRestrictionData, surface_witness
 
 RATIONAL = '{"base": "Q"}'
@@ -196,6 +205,40 @@ class TestInvariants:
             "  at 5: dim 12, det class 1, hasse +1\n"
         )
 
+    def test_hermitian_det_class_is_trivial_over_a_quadratic_field(self, capsys):
+        # the trace form's determinant is a square; its class prints as 1
+        payload = (
+            '{"field": {"base": "quadratic", "d": 5}, "algebra": {"a": {"a0": 1, "a1": 1}, '
+            '"b": -1}, "coeffs": [1, {"a0": 2, "a1": 1}, -3]}'
+        )
+        code, out, _ = run(capsys, "invariants", payload)
+        assert code == 0
+        assert out.splitlines()[2:] == [
+            "  at 2: dim 12, det class 1, hasse -1",
+            "  at 3: dim 12, det class 1, hasse +1",
+            "  at 5: dim 12, det class 1, hasse +1",
+        ]
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["quadratic", "hermitian"])
+    def test_hostile_coefficients_keep_their_report(self, capsys, hermitian):
+        # the determinant (eight 38-bit primes) is reduced, not factored
+        primes = [p for pair in HOSTILE_PRIMES for p in pair]
+        code, out, _ = run(capsys, "invariants", hostile_payload(hermitian))
+        coeffs = ", ".join(str(c) for c in HOSTILE_COEFFS)
+        if hermitian:
+            header = f"trace-form invariants of <{coeffs}> over (-1, -1 / Q)"
+            local = ["dim 16, det class 1, hasse +1"] * 9
+        else:
+            header = f"invariants of <{coeffs}>"
+            local = [
+                f"dim 4, det class {math.prod(primes)}, hasse {s:+d}"
+                for s in (-1, -1, -1, 1, -1, 1, -1, -1, -1)
+            ]
+        assert code == 0
+        assert out.splitlines() == [header, "  signature at inf: (2, 2)"] + [
+            f"  at {p}: {entry}" for p, entry in zip([2, *primes], local)
+        ]
+
     def test_quadratic_json(self, capsys):
         payload = f'{{"field": {RATIONAL}, "coeffs": [1, 1, -3]}}'
         code, out, _ = run(capsys, "invariants", "--json", payload)
@@ -204,6 +247,113 @@ class TestInvariants:
         assert data["kind"] == "quadratic"
         entries = {entry["place"]: entry for entry in data["local"]}
         assert entries["2"]["dim"] == 3 and entries["2"]["hasse"] == 1
+
+
+#: four products of two 38-bit primes, each split by Pollard-Brent in about a second
+HOSTILE_PRIMES = [
+    (137438953481, 137438953501), (137438953513, 137438953541),
+    (137438953567, 137438953577), (137438953591, 137438953657),
+]
+HOSTILE_COEFFS = [(-1) ** i * p * q for i, (p, q) in enumerate(HOSTILE_PRIMES)]
+
+
+def hostile_payload(hermitian):
+    algebra = {"algebra": {"a": -1, "b": -1}} if hermitian else {}
+    return json.dumps({"field": {"base": "Q"}, **algebra, "coeffs": HOSTILE_COEFFS})
+
+
+def _payload_element(rng, d, sign=0):
+    """A seeded element as payload JSON, over Q when d is None; totally
+    positive or totally negative when sign is +1 or -1."""
+    den = rng.choice((1, 1, 2, 9, 35))
+    a1 = 0 if d is None else rng.randint(-60, 60)
+    a0 = rng.choice((1, -1)) * rng.randint(1, 5000)
+    if sign:
+        a0 = sign * (abs(a1) * (math.isqrt(d or 0) + 1) + rng.randint(1, 5000))
+    return f"{a0}/{den}" if d is None else {"a0": f"{a0}/{den}", "a1": f"{a1}/{den}"}
+
+
+def _factor_cases():
+    """(argv, field JSON, payload elements) for seeded payloads of every
+    subcommand the factor-size guard covers, over Q, Q(sqrt(3)),
+    Q(sqrt(5)) and Q(sqrt(17)), and for the two hostile payloads."""
+    rng = random.Random(25)
+    cases = []
+    for d in (None, 3, 5, 17):
+        field = {"base": "Q"} if d is None else {"base": "quadratic", "d": d}
+
+        def add(argv, *payloads, elements):
+            cases.append((argv + [json.dumps(p) for p in payloads], field, elements))
+
+        def elements(n, sign=0):
+            return [_payload_element(rng, d, sign) for _ in range(n)]
+
+        def triple_(a, b):
+            return {"field": field, "v0": {"embedding": 0}, "algebra": {"a": a, "b": b}}
+
+        for n in (3, 5):
+            coeffs = elements(n)
+            add(["invariants"], {"field": field, "coeffs": coeffs}, elements=coeffs)
+        for n in (2, 4):
+            a, b, *coeffs = elements(n + 2)
+            herm = {"field": field, "algebra": {"a": a, "b": b}, "coeffs": coeffs}
+            add(["invariants"], herm, elements=[a, b, *coeffs])
+        a, b = elements(2)
+        add(["symbol", "--field", json.dumps(field), "--"], a, b, elements=[a, b])
+        a, b = elements(2)
+        add(["ramification"], {"field": field, "a": a, "b": b}, elements=[a, b])
+        a, b = elements(2, sign=-1)
+        add(["admissible"], triple_(a, b), elements=[a, b])
+        a, b = elements(2, sign=-1)
+        add(["canonical-form", "--m", "3"], triple_(a, b), elements=[a, b])
+        a, b, c, e = elements(4, sign=-1)
+        add(["commensurable"], triple_(a, b), triple_(c, e), elements=[a, b, c, e])
+        if d is None:  # class descriptors: a form of signature (2, 1)
+            a, b, c, e = elements(4, sign=-1)
+            coeffs = elements(2, sign=1) + elements(1, sign=-1)
+            left, right = (
+                {"kind": "nonsplit", "form": {"field": field, "algebra": {"a": x, "b": y},
+                                              "coeffs": coeffs}}
+                for x, y in ((a, b), (c, e))
+            )
+            add(["commensurable"], left, right, elements=[a, b, c, e, *coeffs])
+    for hermitian in (False, True):
+        cases.append((
+            ["invariants", hostile_payload(hermitian)],
+            {"base": "Q"},
+            HOSTILE_COEFFS + ([-1, -1] if hermitian else []),
+        ))
+    return cases
+
+class TestFactorSizes:
+    """No subcommand factors an integer wider than 32 bits (room for the
+    field discriminant and the dyadic class representatives) or than the
+    widest one `element_support_primes` takes from a single payload
+    element: a reduced norm numerator or a denominator.
+
+    Left out: `isometric` on Hermitian forms, `embeds-real`,
+    `embeds-complex` and `surface-witness`.  They decide through
+    `hermitian_isometric`, which builds trace forms and so factors
+    products of parameters such as a*b.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,field,elements",
+        [
+            pytest.param(*case, id=f"{case[0][0]}-{case[1].get('d', 'Q')}-{i}")
+            for i, case in enumerate(_factor_cases())
+        ],
+    )
+    def test_no_integer_wider_than_a_payload_element(self, capsys, factor_calls, argv, field, elements):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        factored = [n for (n,) in factor_calls]
+        factor_calls.clear()
+        k = parse_field(field)
+        for x in elements:
+            element_support_primes(parse_element(x, k))
+        bound = max(32, *(abs(n).bit_length() for (n,) in factor_calls))
+        assert max((abs(n).bit_length() for n in factored), default=0) <= bound
 
 
 class TestIsometric:
