@@ -249,7 +249,7 @@ class TestInvariants:
         assert entries["2"]["dim"] == 3 and entries["2"]["hasse"] == 1
 
 
-#: four products of two 38-bit primes, each split by Pollard-Brent in about a second
+#: four products of two 38-bit primes (the first eight primes above 2**37)
 HOSTILE_PRIMES = [
     (137438953481, 137438953501), (137438953513, 137438953541),
     (137438953567, 137438953577), (137438953591, 137438953657),
@@ -325,6 +325,7 @@ def _factor_cases():
         ))
     return cases
 
+
 class TestFactorSizes:
     """No subcommand factors an integer wider than 32 bits (room for the
     field discriminant and the dyadic class representatives) or than the
@@ -344,7 +345,9 @@ class TestFactorSizes:
             for i, case in enumerate(_factor_cases())
         ],
     )
-    def test_no_integer_wider_than_a_payload_element(self, capsys, factor_calls, argv, field, elements):
+    def test_no_integer_wider_than_a_payload_element(
+        self, capsys, factor_calls, argv, field, elements
+    ):
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         factored = [n for (n,) in factor_calls]
@@ -352,7 +355,7 @@ class TestFactorSizes:
         k = parse_field(field)
         for x in elements:
             element_support_primes(parse_element(x, k))
-        bound = max(32, *(abs(n).bit_length() for (n,) in factor_calls))
+        bound = max([32] + [abs(n).bit_length() for (n,) in factor_calls])
         assert max((abs(n).bit_length() for n in factored), default=0) <= bound
 
 
