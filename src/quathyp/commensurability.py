@@ -154,7 +154,7 @@ class OrbifoldClassDescriptor(Record):
     """A commensurability-class descriptor: split type carries (field, n),
     nonsplit type carries a Hermitian form over a division algebra."""
 
-    __slots__ = ("kind", "field", "rank", "form")
+    __slots__ = ("kind", "field", "rank", "form", "_triple")
 
     def __init__(
         self,
@@ -167,6 +167,7 @@ class OrbifoldClassDescriptor(Record):
         set_field(self, "field", field)
         set_field(self, "rank", rank)
         set_field(self, "form", form)
+        set_field(self, "_triple", None)
 
     @classmethod
     def split(cls, field: Field, n: int) -> "OrbifoldClassDescriptor":
@@ -194,7 +195,10 @@ def triple_of(desc: OrbifoldClassDescriptor) -> AdmissibleTriple:
     failure: the algebra must ramify at every real place, the form must
     be indefinite at exactly one real place, and there its signature
     must be (n-1, 1).  The distinguished place is the indefinite one.
+    The triple is built once and kept on the descriptor (``_triple``).
     """
+    if desc._triple is not None:
+        return desc._triple
     if desc.kind != "nonsplit":
         raise NotQuaternionicHyperbolicError("split descriptors carry no triple")
     h = desc.form
@@ -220,7 +224,8 @@ def triple_of(desc: OrbifoldClassDescriptor) -> AdmissibleTriple:
         raise NotQuaternionicHyperbolicError(
             f"signature at {v0} is {sig}, not ({h.dim - 1}, 1)"
         )
-    return AdmissibleTriple(field, v0, D)
+    set_field(desc, "_triple", AdmissibleTriple(field, v0, D))
+    return desc._triple
 
 
 def _quaternionic_reason(d1: OrbifoldClassDescriptor, d2: OrbifoldClassDescriptor) -> str | None:

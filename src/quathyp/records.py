@@ -22,14 +22,18 @@ class Record:
     Records are equal when they are of one class with equal fields, hash
     their fields, refuse assignment and deletion, and print as
     ``Name(field=value, ...)``.  A hot class may define ``__eq__`` and
-    ``__hash__`` over its field tuple directly.
+    ``__hash__`` over its field tuple directly.  A slot named ``_...`` is
+    a memo of data derived from the fields, None from ``__init__`` until
+    set once with :func:`set_field`; equality, hashing, the repr and
+    pickling leave it out, so a copy starts without it.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._values = attrgetter(*cls._fields)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,9 +50,9 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which checks the fields again
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), tuple(getattr(self, name) for name in self._fields)
