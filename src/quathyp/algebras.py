@@ -98,11 +98,6 @@ def algebras_isomorphic(D1: QuaternionAlgebra, D2: QuaternionAlgebra) -> bool:
     return D1 == D2 or ramification_set(D1) == ramification_set(D2)
 
 
-def conjugate_algebra(D: QuaternionAlgebra) -> QuaternionAlgebra:
-    """The algebra with Galois-conjugated parameters (itself over Q)."""
-    return QuaternionAlgebra(D.field, D.a.conjugate(), D.b.conjugate())
-
-
 def subfield_embeds(D: QuaternionAlgebra, c: FieldElement) -> bool:
     """Whether the quadratic extension k(sqrt(c)) embeds in D.
 

@@ -76,12 +76,6 @@ def diagonal_form(field: Field, *entries) -> QuadraticForm:
     return QuadraticForm(field, coeffs)
 
 
-def orthogonal_sum(q1: QuadraticForm, q2: QuadraticForm) -> QuadraticForm:
-    if q1.field != q2.field:
-        raise FieldMismatchError("cannot sum forms over different fields")
-    return QuadraticForm(q1.field, q1.coeffs + q2.coeffs)
-
-
 class LocalQuadInvariants(Record):
     """dim, det square class and Hasse invariant at one place (plus the
     signature when the place is real)."""

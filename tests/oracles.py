@@ -36,8 +36,9 @@ import numpy as np
 import sympy
 
 import quathyp.geometry as geo
-from quathyp.algebras import algebras_isomorphic, conjugate_algebra, ramified_real_places
+from quathyp.algebras import QuaternionAlgebra, algebras_isomorphic, ramified_real_places
 from quathyp.commensurability import IDENTITY, field_automorphisms, place_image
+from quathyp.errors import FieldMismatchError
 from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place, real_signature
 from quathyp.hermitian import HermitianForm, signature_at_ramified, trace_form
 from quathyp.quadratic import (
@@ -562,6 +563,13 @@ def hasse_invariant_pairwise(q, v) -> int:
     return out
 
 
+def orthogonal_sum(q1, q2):
+    """q1 + q2: the form with the coefficients of both."""
+    if q1.field != q2.field:
+        raise FieldMismatchError("cannot sum forms over different fields")
+    return QuadraticForm(q1.field, q1.coeffs + q2.coeffs)
+
+
 def forms_isometric_every_place(q1, q2) -> bool:
     """Isometry by dimension, determinant class, real signatures and the
     pairwise Hasse invariants at every finite place of the joint
@@ -580,6 +588,11 @@ def forms_isometric_every_place(q1, q2) -> bool:
 
 # ---------------------------------------------------------------------------
 # commensurability one field automorphism at a time
+
+
+def conjugate_algebra(D):
+    """The algebra with Galois-conjugated parameters (itself over Q)."""
+    return QuaternionAlgebra(D.field, D.a.conjugate(), D.b.conjugate())
 
 
 def algebra_image(tau, D):

@@ -7,7 +7,6 @@ import pytest
 from quathyp.algebras import (
     QuaternionAlgebra,
     algebras_isomorphic,
-    conjugate_algebra,
     is_division,
     is_split,
     norm_form,
@@ -22,7 +21,7 @@ from quathyp.errors import FieldMismatchError, SquareArgumentError
 from quathyp.fields import QQ, Field, conjugate_place, is_global_square, places_above
 from quathyp.quadratic import diagonal_form, isotropic_at, isotropic_global
 
-from oracles import KNOWN_RAMIFICATION, qp_hilbert
+from oracles import KNOWN_RAMIFICATION, conjugate_algebra, qp_hilbert
 
 RNG = random.Random(1105)
 

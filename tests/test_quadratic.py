@@ -25,7 +25,6 @@ from quathyp.quadratic import (
     isotropic_at,
     isotropic_global,
     local_invariants,
-    orthogonal_sum,
     same_square_class,
     signature_at,
     square_class_rep,
@@ -36,6 +35,7 @@ from oracles import (
     forms_isometric_every_place,
     hasse_invariant_pairwise,
     hilbert_symbol_by_kind,
+    orthogonal_sum,
     qp_hilbert,
     qp_is_square,
     qp_ternary_isotropic_fast,
