@@ -22,6 +22,7 @@ from quathyp.errors import PreconditionError
 from quathyp.fields import QQ, element_support_primes
 from quathyp.geometry import geometry_report
 from quathyp.hermitian import hermitian_isometric
+from quathyp.numtheory import is_prime
 from quathyp.serialize import (
     parse_ambient,
     parse_element,
@@ -813,15 +814,38 @@ def test_malformed_payloads_exit_0_1_or_2(argv):
     assert code in (0, 1) or (code == 2 and err.getvalue().startswith(("input error: ", "error: ")))
 
 
-def test_console_script_is_installed():
-    # the child interpreter imports the same quathyp as this test process
+def run_child(*argv, timeout=None):
+    """``python -m quathyp.cli`` in a child interpreter that imports the
+    same quathyp as this test process."""
     root = os.path.dirname(os.path.dirname(quathyp.__file__))
     path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "quathyp.cli", "symbol", "--place", "3", "--", "-1", "-3"],
+    return subprocess.run(
+        [sys.executable, "-m", "quathyp.cli", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def test_console_script_is_installed():
+    proc = run_child("symbol", "--place", "3", "--", "-1", "-3")
     assert proc.returncode == 0
     assert "(-1, -3)_3 = -1" in proc.stdout
+
+
+def test_hostile_invariants_finish_within_a_deadline():
+    """Ten coefficients, each a product of two primes just above 2**37.
+    When the determinant class was read off the product of all ten this
+    took about 17 s; reduced over the support's primes it takes about
+    2 s.  The output is not pinned."""
+    primes, p = [], 2**37
+    while len(primes) < 20:
+        p += 1
+        if is_prime(p):
+            primes.append(p)
+    coeffs = [(-1) ** i * primes[2 * i] * primes[2 * i + 1] for i in range(10)]
+    payload = json.dumps({"field": {"base": "Q"}, "coeffs": coeffs})
+    proc = run_child("invariants", "--json", payload, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "quadratic"

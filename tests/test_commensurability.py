@@ -1,12 +1,14 @@
 """Tests for admissible triples, canonical forms, and commensurability."""
 
+import copy
+import json
 import random
+from collections import Counter
 
 import pytest
 
 from quathyp.algebras import (
     algebras_isomorphic,
-    conjugate_algebra,
     is_division,
     quaternion_algebra,
     ramification_set,
@@ -31,19 +33,23 @@ from quathyp.commensurability import (
 from quathyp.errors import (
     DimensionMismatchError,
     NotQuaternionicHyperbolicError,
+    QuathypError,
     UnsupportedRankError,
 )
-from quathyp.fields import QQ, Field, places_above
+from quathyp.fields import QQ, Field, is_global_square, places_above
 from quathyp.hermitian import hermitian_form, hermitian_isometric, signature_at_ramified
 from quathyp.quadratic import diagonal_form
+from quathyp.serialize import hermitian_to_json, parse_ambient
 from quathyp.subspaces import ComplexRestrictionData, embeds_complex, embeds_real
 
 from oracles import (
     algebra_image,
+    conjugate_algebra,
     hermitian_image,
     nonsplit_commensurable_by_images,
     triples_equivalent_by_images,
 )
+from test_subspaces import _element_with_signs, _random_hyperbolic_coeffs
 
 
 def rational_triple(a, b):
@@ -526,3 +532,172 @@ class TestRamificationSetsPerDecision:
         data = ComplexRestrictionData(QQ.element(-1), tuple(ambient.form.coeffs))
         assert embeds_complex(data, ambient).embeds
         assert len(ramification_calls) == 1
+
+
+def _outcome(decide, *args):
+    """What a decision returns, or the class and message of the error it
+    raises."""
+    try:
+        return decide(*args)
+    except QuathypError as exc:
+        return type(exc), str(exc)
+
+
+def _ambient_payload(h):
+    return json.loads(json.dumps({"kind": "nonsplit", "form": hermitian_to_json(h)}))
+
+
+class TestTripleMemo:
+    """A descriptor keeps the triple that `triple_of` builds; a copy
+    starts without it, and a descriptor that fails keeps nothing."""
+
+    @staticmethod
+    def _descriptor():
+        k = Field(5)
+        D = quaternion_algebra(k, k.element(-4, -1), k.element(-1))
+        return OrbifoldClassDescriptor.nonsplit(hermitian_form(D, k.one, 3, k.element(0, -1)))
+
+    def test_one_triple_per_descriptor(self):
+        d = self._descriptor()
+        assert d._triple is None
+        t = triple_of(d)
+        assert triple_of(d) is t and d._triple is t
+        assert t == AdmissibleTriple(d.field, d.field.real_places()[0], d.form.algebra)
+
+    def test_descriptors_parsed_from_one_payload_have_equal_triples(self):
+        payload = _ambient_payload(self._descriptor().form)
+        d1, d2 = parse_ambient(payload), parse_ambient(payload)
+        assert d1 is not d2 and d1 == d2
+        assert triple_of(d1) is not triple_of(d2) and triple_of(d1) == triple_of(d2)
+
+    def test_deep_copy_equals_and_rebuilds_the_same_triple(self):
+        d = self._descriptor()
+        t = triple_of(d)
+        again = copy.deepcopy(d)
+        assert again == d and hash(again) == hash(d) and again._triple is None
+        assert triple_of(again) == t and triple_of(d) is t
+
+    def test_the_memo_keeps_no_ramification_set(self, ramification_calls):
+        d1, d2 = self._descriptor(), OrbifoldClassDescriptor.nonsplit(
+            canonical_hermitian(AdmissibleTriple(Field(5), Field(5).real_places()[0],
+                                                 hamilton_over(Field(5))), 2)
+        )
+        for _ in range(2):
+            ramification_calls.clear()
+            assert incommensurability_reason(d1, d2) == "ramification sets differ"
+            assert len(ramification_calls) == 2
+
+    @pytest.mark.parametrize(
+        "form, message",
+        [
+            (
+                lambda: hermitian_form(quaternion_algebra(QQ, -1, -1), 1, 2, 3),
+                "form is definite at every real place; no distinguished place",
+            ),
+            (
+                lambda: hermitian_form(quaternion_algebra(QQ, -1, 3), 1, 1, -1),
+                "algebra does not ramify at the real place inf",
+            ),
+            (
+                lambda: hermitian_form(
+                    quaternion_algebra(Field(17), Field(17).sqrt_d, -1), 1, 1, -1
+                ),
+                "algebra does not ramify at the real place inf_0",
+            ),
+        ],
+        ids=["definite", "split-at-inf", "split-at-inf_0"],
+    )
+    def test_a_failure_is_raised_again(self, form, message):
+        d = OrbifoldClassDescriptor.nonsplit(form())
+        failures = [_outcome(triple_of, d) for _ in range(2)]
+        assert failures == [(NotQuaternionicHyperbolicError, message)] * 2
+        assert d._triple is None
+
+
+MEMO_FIELDS = (QQ, Field(5), Field(3), Field(17))
+
+
+def _memo_forms(rng, field):
+    """Nine Hermitian forms over ``field`` for nonsplit descriptors: eight
+    of rank 2 or 3 over three totally definite algebras, some of them
+    presented again under a field automorphism or scaled to be negative
+    definite away from v0, and one definite at every real place."""
+    places = field.real_places()
+    negative = (-1,) * len(places)
+    algebras = [
+        quaternion_algebra(field, *(_element_with_signs(rng, field, negative) for _ in range(2)))
+        for _ in range(3)
+    ]
+    forms = []
+    while len(forms) < 8:
+        D = rng.choice(algebras)
+        t = AdmissibleTriple(field, rng.choice(places), D)
+        coeffs = _random_hyperbolic_coeffs(rng, t, rng.choice((2, 3)))
+        if len(places) == 2 and rng.random() < 0.3:
+            signs = tuple(1 if v == t.v0 else -1 for v in places)
+            coeffs = [_element_with_signs(rng, field, signs) * c for c in coeffs]
+        forms.append(hermitian_form(D, *coeffs))
+        if rng.random() < 0.5:
+            _, E, image = _presented_again(rng, D, coeffs)
+            forms.append(hermitian_form(E, *image))
+    definite = (_element_with_signs(rng, field, (1,) * len(places)) for _ in range(3))
+    return forms[:8] + [hermitian_form(rng.choice(algebras), *definite)]
+
+
+class TestSameAnswersWithTheTripleMemo:
+    """Every decision that reads a triple answers alike whether the
+    triple is built afresh, read from the memo or built again on a
+    deep copy."""
+
+    def test_every_pair_decides_alike(self):
+        rng = random.Random("triple-memo")
+        forms = [h for field in MEMO_FIELDS for h in _memo_forms(rng, field)]
+        pairs = [(i, j) for i in range(len(forms)) for j in range(len(forms))]
+        fresh = {
+            (i, j): _outcome(
+                incommensurability_reason,
+                OrbifoldClassDescriptor.nonsplit(forms[i]),
+                OrbifoldClassDescriptor.nonsplit(forms[j]),
+            )
+            for i, j in pairs
+        }
+        descriptors = [OrbifoldClassDescriptor.nonsplit(h) for h in forms]
+        triples = [_outcome(triple_of, d) for d in descriptors]
+        assert [d._triple for d in descriptors] == [
+            t if isinstance(t, AdmissibleTriple) else None for t in triples
+        ]
+        copies = copy.deepcopy(descriptors)
+        assert copies == descriptors and all(d._triple is None for d in copies)
+        for again in (descriptors, copies):
+            assert {(i, j): _outcome(incommensurability_reason, again[i], again[j])
+                    for i, j in pairs} == fresh
+        kinds = Counter(r if r is None or isinstance(r, str) else r[0] for r in fresh.values())
+        assert set(kinds) == {
+            None, "fields differ", "ramification sets differ",
+            "signatures differ at a real place", DimensionMismatchError,
+            NotQuaternionicHyperbolicError,
+        }, kinds
+
+    @pytest.mark.parametrize("field", MEMO_FIELDS, ids=str)
+    def test_embeddings_on_a_reused_ambient(self, field):
+        rng = random.Random(f"triple-memo-embeddings:{field}")
+        places = field.real_places()
+        D = quaternion_algebra(
+            field, *(_element_with_signs(rng, field, (-1,) * len(places)) for _ in range(2))
+        )
+        t = AdmissibleTriple(field, rng.choice(places), D)
+        payload = _ambient_payload(hermitian_form(D, *_random_hyperbolic_coeffs(rng, t, 4)))
+        ambient = parse_ambient(payload)
+        verdicts = Counter()
+        for _ in range(8):
+            c = field.one
+            while is_global_square(c):
+                c = _element_with_signs(rng, field, tuple(rng.choice((-1, 1)) for _ in places))
+            q = diagonal_form(field, *_random_hyperbolic_coeffs(rng, t, rng.randint(2, 4)))
+            data = ComplexRestrictionData(c, _random_hyperbolic_coeffs(rng, t, 4))
+            for decide, arg in ((embeds_real, q), (embeds_complex, data)):
+                got = _outcome(decide, arg, ambient)
+                assert got == _outcome(decide, arg, parse_ambient(payload))
+                verdicts[decide.__name__, got.embeds] += 1
+            assert ambient._triple is not None
+        assert verdicts["embeds_real", True] == 8 and verdicts["embeds_complex", True] > 0

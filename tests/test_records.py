@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quathyp.algebras import QuaternionAlgebra, quaternion_algebra
-from quathyp.commensurability import AdmissibleTriple, OrbifoldClassDescriptor
+from quathyp.commensurability import AdmissibleTriple, OrbifoldClassDescriptor, triple_of
 from quathyp.errors import FieldMismatchError, PreconditionError, SquareArgumentError
 from quathyp.fields import QQ, SPLIT_FIRST, Field, Place
 from quathyp.geometry import SubspaceSpan
@@ -213,6 +213,57 @@ def test_validation_errors_keep_type_and_message(build, error, message):
     with pytest.raises(Exception) as info:
         build()
     assert type(info.value) is error and str(info.value) == message
+
+
+class Memo(Record):
+    """Two fields and a memo slot, as a record class with derived data has."""
+
+    __slots__ = ("a", "b", "_memo")
+
+    def __init__(self, a, b):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "_memo", None)
+
+
+class TestMemoSlots:
+    """A slot named ``_...`` holds derived data: it is not a field."""
+
+    @staticmethod
+    def filled(a=1, b=(2, 3)):
+        memo = Memo(a, b)
+        set_field(memo, "_memo", ["derived"])
+        return memo
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        filled, empty = self.filled(), Memo(1, (2, 3))
+        assert filled == empty and hash(filled) == hash(empty) and len({filled, empty}) == 1
+        assert filled != Memo(1, (2, 4)) and Memo._fields == ("a", "b")
+
+    def test_repr_copy_and_pickle_leave_it_out(self):
+        filled = self.filled()
+        assert repr(filled) == "Memo(a=1, b=(2, 3))"
+        copies = copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))
+        for again in copies:
+            assert again == filled and repr(again) == repr(filled) and again._memo is None
+
+    def test_assignment_and_deletion_refused(self):
+        filled = self.filled()
+        with pytest.raises(AttributeError, match="cannot assign to field '_memo'"):
+            filled._memo = None
+        with pytest.raises(AttributeError, match="cannot delete field '_memo'"):
+            del filled._memo
+        assert filled._memo == ["derived"]
+
+    def test_descriptor_with_its_triple_prints_and_copies_without_it(self):
+        form = hermitian_form(H, 1, 1, -1)
+        desc = OrbifoldClassDescriptor.nonsplit(form)
+        fresh = repr(desc)
+        assert triple_of(desc) is desc._triple is not None
+        expected = f"OrbifoldClassDescriptor(kind='nonsplit', field={_Q}, rank=None, form={form!r})"
+        assert repr(desc) == fresh == expected
+        for again in (copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc))):
+            assert again == desc and hash(again) == hash(desc) and again._triple is None
 
 
 class TestSubspaceSpan:
