@@ -578,10 +578,9 @@ class TestTripleMemo:
         assert triple_of(again) == t and triple_of(d) is t
 
     def test_the_memo_keeps_no_ramification_set(self, ramification_calls):
-        d1, d2 = self._descriptor(), OrbifoldClassDescriptor.nonsplit(
-            canonical_hermitian(AdmissibleTriple(Field(5), Field(5).real_places()[0],
-                                                 hamilton_over(Field(5))), 2)
-        )
+        d1 = self._descriptor()
+        t = AdmissibleTriple(d1.field, d1.field.real_places()[0], hamilton_over(d1.field))
+        d2 = OrbifoldClassDescriptor.nonsplit(canonical_hermitian(t, 2))
         for _ in range(2):
             ramification_calls.clear()
             assert incommensurability_reason(d1, d2) == "ramification sets differ"

@@ -230,8 +230,8 @@ class TestMemoSlots:
     """A slot named ``_...`` holds derived data: it is not a field."""
 
     @staticmethod
-    def filled(a=1, b=(2, 3)):
-        memo = Memo(a, b)
+    def filled():
+        memo = Memo(1, (2, 3))
         set_field(memo, "_memo", ["derived"])
         return memo
 
