@@ -9,7 +9,7 @@ membership of quadratic extensions among its maximal subfields.
 from __future__ import annotations
 
 from .errors import FieldMismatchError, SquareArgumentError
-from .fields import Field, FieldElement, Place, is_global_square, is_local_square
+from .fields import Field, FieldElement, Place, _real_sign, is_global_square, is_local_square
 from .quadratic import QuadraticForm
 from .records import Record, set_field
 from .symbols import hilbert_symbol, symbol_support
@@ -65,7 +65,7 @@ def ramified_real_places(D: QuaternionAlgebra) -> tuple[Place, ...]:
     under v, so this reads signs and factors nothing.
     """
     return tuple(
-        v for v in D.field.real_places() if hilbert_symbol(D.a, D.b, v) == -1
+        v for v in D.field.real_places() if _real_sign(D.a, v) < 0 and _real_sign(D.b, v) < 0
     )
 
 

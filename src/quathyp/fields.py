@@ -47,9 +47,10 @@ Rationalish = Union[int, Fraction, str]
 
 
 class Field(Record):
-    """Q (``d is None``) or the real quadratic field Q(sqrt(d))."""
+    """Q (``d is None``) or the real quadratic field Q(sqrt(d)).  Its real
+    places are built on first use and kept (``_real_places``)."""
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "_real_places")
 
     def __init__(self, d: int | None = None):
         if d is not None:
@@ -58,6 +59,7 @@ class Field(Record):
             if squarefree_part(d) != d:
                 raise ValueError(f"d = {d} is not squarefree")
         set_field(self, "d", d)
+        set_field(self, "_real_places", None)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -103,9 +105,9 @@ class Field(Record):
         return self.element(0, 1)
 
     def real_places(self) -> tuple["Place", ...]:
-        if self.is_rational:
-            return (Place.real(self, 0),)
-        return (Place.real(self, 0), Place.real(self, 1))
+        if self._real_places is None:
+            set_field(self, "_real_places", tuple(Place.real(self, e) for e in range(self.degree)))
+        return self._real_places
 
     def __str__(self) -> str:
         return "Q" if self.is_rational else f"Q(sqrt({self.d}))"

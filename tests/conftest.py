@@ -35,7 +35,8 @@ def ramification_calls(monkeypatch):
 @pytest.fixture
 def hilbert_calls(monkeypatch):
     """The Hilbert symbols evaluated by name while the test runs (not the
-    ones that Hasse invariants read off square-class keys)."""
+    ones that Hasse invariants read off square-class keys, nor the real
+    places that `ramified_real_places` reads off signs)."""
     return _count_calls(monkeypatch, quathyp.symbols.hilbert_symbol)
 
 

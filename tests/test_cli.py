@@ -189,15 +189,16 @@ class TestInvariants:
         assert "dim 8, det class 1, hasse +1" in out
 
     def test_hermitian_signatures_read_each_ramified_place_once(self, capsys, hilbert_calls):
-        # <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5))): one symbol per real place,
-        # and the closed form's (a, b)_v and (-1, -1)_v at each finite place
+        # <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5))): each ramified real place is
+        # read once, off the signs of a and b, so no symbol is evaluated there;
+        # the closed form evaluates (a, b)_v and (-1, -1)_v at each finite place
         payload = (
             '{"field": {"base": "quadratic", "d": 5}, "algebra": {"a": -1, "b": -1}, '
             '"coeffs": [1, 1, {"a0": 0, "a1": -1}]}'
         )
         code, out, _ = run(capsys, "invariants", payload)
         places = Counter(place_to_str(v) for _, _, v in hilbert_calls)
-        assert code == 0 and places == {"inf_0": 1, "inf_1": 1, "2": 2, "5": 2}
+        assert code == 0 and places == {"2": 2, "5": 2}
         assert out == (
             "trace-form invariants of <1, 1, -sqrt(5)> over (-1, -1 / Q(sqrt(5)))\n"
             "  signature at inf_0: (2, 1)\n"
