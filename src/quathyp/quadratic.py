@@ -26,7 +26,6 @@ from .fields import (
     Place,
     _require_same_field,
     _square_class,
-    element_support_primes,
     is_global_square,
     is_local_square,
     real_signature,
@@ -100,21 +99,6 @@ def _class_rep(x: FieldElement, primes) -> FieldElement:
         while s % (p * p) == 0:
             s //= p * p
     return x.field.element(a * s // g, b * s // g)
-
-
-def square_class_rep(x: FieldElement) -> FieldElement:
-    """A reduced representative of x modulo nonzero squares.
-
-    Over Q: the squarefree integer with x's sign.  Over Q(sqrt(d)): x
-    den^2 with its coordinate gcd's square part divided out.  That part is
-    read over 2 and x's support primes (`element_support_primes`), which
-    is enough: an odd prime of the gcd divides den, or else n0 and n1 and
-    so the norm's numerator.  Class equality goes through the exact square
-    test on ratios, so this is a normalization, not a decision procedure.
-    """
-    if not x:
-        raise ValueError("0 has no square class")
-    return _class_rep(x, element_support_primes(x) | {2})
 
 
 def same_square_class(x: FieldElement, y: FieldElement) -> bool:

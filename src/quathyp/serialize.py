@@ -213,14 +213,6 @@ def parse_triple(obj, ptr: str = "") -> AdmissibleTriple:
     return AdmissibleTriple(field, Place.real(field, embedding), algebra)
 
 
-def triple_to_json(t: AdmissibleTriple) -> dict:
-    return {
-        "field": field_to_json(t.field),
-        "v0": {"embedding": t.v0.embedding},
-        "algebra": algebra_to_json(t.algebra),
-    }
-
-
 def parse_ambient(obj, ptr: str = "") -> OrbifoldClassDescriptor:
     obj = _require_dict(obj, ptr)
     kind = _get(obj, "kind", ptr)
@@ -244,16 +236,6 @@ def parse_ambient(obj, ptr: str = "") -> OrbifoldClassDescriptor:
         raise DescriptorError(str(exc), f"{ptr}/form") from None
 
 
-def ambient_to_json(desc: OrbifoldClassDescriptor) -> dict:
-    if desc.kind == "split":
-        return {"kind": "split", "field": field_to_json(desc.field), "n": desc.n}
-    return {
-        "kind": "nonsplit",
-        "form": hermitian_to_json(desc.form),
-        "m": desc.form.dim - 1,
-    }
-
-
 def parse_restriction_data(obj, ptr: str = "") -> ComplexRestrictionData:
     obj = _require_dict(obj, ptr)
     field = parse_field(_get(obj, "field", ptr), f"{ptr}/field")
@@ -263,14 +245,6 @@ def parse_restriction_data(obj, ptr: str = "") -> ComplexRestrictionData:
         return ComplexRestrictionData(c, coeffs)
     except (ValueError, SquareArgumentError, FieldMismatchError) as exc:
         raise DescriptorError(str(exc), ptr) from None
-
-
-def restriction_data_to_json(data: ComplexRestrictionData) -> dict:
-    return {
-        "field": field_to_json(data.field),
-        "c": element_to_json(data.c),
-        "coeffs": [element_to_json(c) for c in data.coeffs],
-    }
 
 
 def parse_place(text: str, field: Field, ptr: str = "") -> Place:

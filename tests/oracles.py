@@ -22,7 +22,9 @@ ramification set built from its own parameters, and the surface witness
 is the first form of a search over a ladder of candidates.  The oracles
 are slow and simple on purpose.  Field elements are checked against
 arithmetic on pairs of Fraction coordinates, with a gcd on every
-operation.
+operation.  Helpers that only the tests use (a square-class
+representative, the JSON writers of triples, ambients and restriction
+data) live here as well, built on the library's own code.
 """
 
 from __future__ import annotations
@@ -39,15 +41,25 @@ import quathyp.geometry as geo
 from quathyp.algebras import QuaternionAlgebra, algebras_isomorphic, ramified_real_places
 from quathyp.commensurability import IDENTITY, field_automorphisms, place_image
 from quathyp.errors import FieldMismatchError
-from quathyp.fields import INERT, RAMIFIED, SPLIT_FIRST, SPLIT_SECOND, Place, real_signature
+from quathyp.fields import (
+    INERT,
+    RAMIFIED,
+    SPLIT_FIRST,
+    SPLIT_SECOND,
+    Place,
+    element_support_primes,
+    real_signature,
+)
 from quathyp.hermitian import HermitianForm, signature_at_ramified, trace_form
 from quathyp.quadratic import (
     QuadraticForm,
+    _class_rep,
     form_support,
     isotropic_global,
     same_square_class,
     signature_at,
 )
+from quathyp.serialize import algebra_to_json, element_to_json, field_to_json, hermitian_to_json
 from quathyp.symbols import symbol_support
 
 # ---------------------------------------------------------------------------
@@ -118,8 +130,23 @@ def is_global_square_by_fractions(x) -> bool:
     return any(u != 0 and _is_square_fraction(u) for u in ((a0 + s) / 2, (a0 - s) / 2))
 
 
+def square_class_rep(x):
+    """A reduced representative of x modulo nonzero squares.
+
+    Over Q: the squarefree integer with x's sign.  Over Q(sqrt(d)): x
+    den^2 with its coordinate gcd's square part divided out.  That part is
+    read over 2 and x's support primes (`element_support_primes`), which
+    is enough: an odd prime of the gcd divides den, or else n0 and n1 and
+    so the norm's numerator.  Class equality goes through the exact square
+    test on ratios, so this is a normalization, not a decision procedure.
+    """
+    if not x:
+        raise ValueError("0 has no square class")
+    return _class_rep(x, element_support_primes(x) | {2})
+
+
 def square_class_rep_by_fractions(x) -> tuple[Fraction, Fraction]:
-    """The coordinates of `quadratic.square_class_rep(x)`, on Fraction
+    """The coordinates of `square_class_rep(x)`, on Fraction
     coordinates: the squarefree part of num*den for a rational value;
     else x times (a0.den a1.den)^2, divided by the largest square that
     divides the gcd of its integer coordinates."""
@@ -674,6 +701,36 @@ def surface_witness_by_ladder(t):
                 if not isotropic_global(q):
                     return q
     return None
+
+
+# ---------------------------------------------------------------------------
+# JSON writers for descriptors the library only reads
+
+
+def triple_to_json(t) -> dict:
+    return {
+        "field": field_to_json(t.field),
+        "v0": {"embedding": t.v0.embedding},
+        "algebra": algebra_to_json(t.algebra),
+    }
+
+
+def ambient_to_json(desc) -> dict:
+    if desc.kind == "split":
+        return {"kind": "split", "field": field_to_json(desc.field), "n": desc.n}
+    return {
+        "kind": "nonsplit",
+        "form": hermitian_to_json(desc.form),
+        "m": desc.form.dim - 1,
+    }
+
+
+def restriction_data_to_json(data) -> dict:
+    return {
+        "field": field_to_json(data.field),
+        "c": element_to_json(data.c),
+        "coeffs": [element_to_json(c) for c in data.coeffs],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from quathyp.quadratic import (
     local_invariants,
     same_square_class,
     signature_at,
-    square_class_rep,
 )
 
 import oracles
@@ -39,6 +38,7 @@ from oracles import (
     qp_hilbert,
     qp_is_square,
     qp_ternary_isotropic_fast,
+    square_class_rep,
 )
 from test_symbols import PROPERTY, PROPERTY_FIELDS
 

@@ -13,7 +13,6 @@ from quathyp.quadratic import diagonal_form
 from quathyp.serialize import (
     MAX_BITS,
     algebra_to_json,
-    ambient_to_json,
     element_to_json,
     field_to_json,
     hermitian_to_json,
@@ -28,10 +27,10 @@ from quathyp.serialize import (
     parse_triple,
     place_to_str,
     quadratic_to_json,
-    restriction_data_to_json,
-    triple_to_json,
 )
 from quathyp.subspaces import ComplexRestrictionData
+
+from oracles import ambient_to_json, restriction_data_to_json, triple_to_json
 
 
 class TestFields:
