@@ -60,7 +60,7 @@ from quathyp.quadratic import (
     signature_at,
 )
 from quathyp.serialize import algebra_to_json, element_to_json, field_to_json, hermitian_to_json
-from quathyp.symbols import symbol_support
+from quathyp.symbols import hilbert_symbol, symbol_support
 
 # ---------------------------------------------------------------------------
 # field arithmetic on Fraction coordinate pairs (a0, a1), d = 0 over Q
@@ -611,6 +611,19 @@ def forms_isometric_every_place(q1, q2) -> bool:
         elif hasse_invariant_pairwise(q1, v) != hasse_invariant_pairwise(q2, v):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# ramified real places by the full Hilbert symbol
+
+
+def ramified_real_places_by_symbol(D) -> tuple:
+    """The real places, built afresh, where the Hilbert symbol (a,b)_v is
+    -1: the route that `algebras.ramified_real_places` replaced by the
+    signs of a and b."""
+    embeddings = (0,) if D.field.is_rational else (0, 1)
+    places = (Place.real(D.field, e) for e in embeddings)
+    return tuple(v for v in places if hilbert_symbol(D.a, D.b, v) == -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Tests for quaternion algebras: ramification, isomorphism, and subfields."""
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quathyp.algebras import (
     QuaternionAlgebra,
@@ -15,13 +19,25 @@ from quathyp.algebras import (
     ramified_real_places,
     subfield_embeds,
 )
-from fractions import Fraction
-
+from quathyp.commensurability import AdmissibleTriple, is_admissible
 from quathyp.errors import FieldMismatchError, SquareArgumentError
-from quathyp.fields import QQ, Field, conjugate_place, is_global_square, places_above
+from quathyp.fields import (
+    QQ,
+    Field,
+    conjugate_place,
+    is_global_square,
+    places_above,
+    sign_at_real_place,
+)
 from quathyp.quadratic import diagonal_form, isotropic_at, isotropic_global
 
-from oracles import KNOWN_RAMIFICATION, conjugate_algebra, qp_hilbert
+from oracles import (
+    KNOWN_RAMIFICATION,
+    conjugate_algebra,
+    qp_hilbert,
+    ramified_real_places_by_symbol,
+)
+from test_symbols import elements
 
 RNG = random.Random(1105)
 
@@ -31,6 +47,40 @@ RATIONAL_POOL = [-19, -17, -13, -11, -7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 
 
 def random_pair():
     return RNG.choice(RATIONAL_POOL), RNG.choice(RATIONAL_POOL)
+
+
+#: Q, 2 inert (Q(sqrt(5))), 2 ramified (Q(sqrt(3)), Q(sqrt(6))) and 2 split (Q(sqrt(17)))
+RELATION_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(17)]
+
+RELATIONS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def element_with_signs(rng, field, signs):
+    """A random element with the given sign at each real place."""
+    places = field.real_places()
+    while True:
+        a0 = Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 7)))
+        a1 = 0 if field.is_rational else Fraction(rng.randint(-15, 15), rng.choice((1, 2, 5)))
+        x = field.element(a0, a1)
+        if x and tuple(sign_at_real_place(x, v) for v in places) == signs:
+            return x
+
+
+def real_place_decisions(D, v0):
+    """The ramification set, the ramified real places and admissibility
+    of the triple (field, v0, D)."""
+    t = AdmissibleTriple(D.field, v0, D)
+    return ramification_set(D), ramified_real_places(D), is_admissible(t)
+
+
+@st.composite
+def algebra_cases(draw):
+    """An algebra over a relation field, two nonzero elements x, y and a
+    distinguished real place v0."""
+    field = draw(st.sampled_from(RELATION_FIELDS))
+    a, b, x, y = (draw(elements(field)) for _ in range(4))
+    v0 = draw(st.sampled_from(field.real_places()))
+    return quaternion_algebra(field, a, b), x, y, v0
 
 
 class TestConstruction:
@@ -145,6 +195,51 @@ class TestRamification:
                 probe.update(places_above(D.field, p))
             for v in probe:
                 assert isotropic_at(nf, v) == (v not in ram)
+
+
+class TestRealPlacesBySign:
+    @pytest.mark.parametrize("field", RELATION_FIELDS, ids=str)
+    def test_signs_agree_with_the_symbol_oracle(self, field):
+        """At least 40 algebras per field, every sign of a and of b at
+        every real place: the sign rule, admissibility and the real part
+        of the ramification set all match (a,b)_v = -1."""
+        rng = random.Random(f"real signs:{field}")
+        patterns = list(product((1, -1), repeat=field.degree))
+        for sa, sb in product(patterns, repeat=2):
+            for _ in range(10 if field.is_rational else 3):
+                a = element_with_signs(rng, field, sa)
+                D = quaternion_algebra(field, a, element_with_signs(rng, field, sb))
+                expected = ramified_real_places_by_symbol(D)
+                assert ramified_real_places(D) == expected, str(D)
+                assert {v for v in ramification_set(D) if v.is_real} == set(expected), str(D)
+                for v0 in field.real_places():
+                    t = AdmissibleTriple(field, v0, D)
+                    assert is_admissible(t) == (len(expected) == field.degree), str(D)
+
+
+class TestRelations:
+    """Decisions that read the real places give the same answers on
+    every presentation of the algebra and move with Galois conjugation."""
+
+    @pytest.mark.parametrize("relation", ["squares", "swap", "a,-ab"])
+    @RELATIONS
+    @given(algebra_cases())
+    def test_re_presented_algebra(self, relation, case):
+        D, x, y, v0 = case
+        a, b = D.a, D.b
+        a2, b2 = {"squares": (a * x * x, b * y * y), "swap": (b, a), "a,-ab": (a, -a * b)}[relation]
+        again = quaternion_algebra(D.field, a2, b2)
+        assert real_place_decisions(again, v0) == real_place_decisions(D, v0), str(D)
+
+    @RELATIONS
+    @given(algebra_cases())
+    def test_galois_conjugation_carries_the_answers(self, case):
+        D, _, _, v0 = case
+        ram, real, admissible = real_place_decisions(D, v0)
+        image = real_place_decisions(conjugate_algebra(D), conjugate_place(v0))
+        assert image[0] == {conjugate_place(v) for v in ram}, str(D)
+        assert set(image[1]) == {conjugate_place(v) for v in real}, str(D)
+        assert image[2] == admissible, str(D)
 
 
 class TestNormForm:

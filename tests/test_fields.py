@@ -1,6 +1,8 @@
 """Exact field arithmetic, places, and local/global square tests."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -64,6 +66,25 @@ class TestFieldConstruction:
         assert Field(5) == Field(5)
         assert Field(5) != Field(13)
         assert Field(5) != QQ
+
+    @pytest.mark.parametrize("d", [None, 5, 17])
+    def test_real_places_are_built_once(self, d):
+        k = QQ if d is None else Field(d)
+        places = k.real_places()
+        assert k.real_places() is places and k._real_places is places
+        assert [v.embedding for v in places] == list(range(k.degree))
+        assert all(v.is_real and v.field is k for v in places)
+
+    @pytest.mark.parametrize("d", [None, 5])
+    def test_real_places_memo_is_not_a_field(self, d):
+        filled, empty = Field(d), Field(d)
+        filled.real_places()
+        assert empty._real_places is None and filled._real_places is not None
+        assert filled == empty and hash(filled) == hash(empty) and len({filled, empty}) == 1
+        assert repr(filled) == repr(empty) == f"Field(d={d})"
+        copies = copy.copy(filled), copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))
+        for again in copies:
+            assert again == filled and repr(again) == repr(filled) and again._real_places is None
 
     def test_hashes_repeat_across_processes(self):
         # CPython 3.11 hashes None by its address, which differs from one
