@@ -621,8 +621,7 @@ def ramified_real_places_by_symbol(D) -> tuple:
     """The real places, built afresh, where the Hilbert symbol (a,b)_v is
     -1: the route that `algebras.ramified_real_places` replaced by the
     signs of a and b."""
-    embeddings = (0,) if D.field.is_rational else (0, 1)
-    places = (Place.real(D.field, e) for e in embeddings)
+    places = (Place.real(D.field, e) for e in range(D.field.degree))
     return tuple(v for v in places if hilbert_symbol(D.a, D.b, v) == -1)
 
 

@@ -21,14 +21,7 @@ from quathyp.algebras import (
 )
 from quathyp.commensurability import AdmissibleTriple, is_admissible
 from quathyp.errors import FieldMismatchError, SquareArgumentError
-from quathyp.fields import (
-    QQ,
-    Field,
-    conjugate_place,
-    is_global_square,
-    places_above,
-    sign_at_real_place,
-)
+from quathyp.fields import QQ, Field, conjugate_place, is_global_square, places_above
 from quathyp.quadratic import diagonal_form, isotropic_at, isotropic_global
 
 from oracles import (
@@ -37,6 +30,7 @@ from oracles import (
     qp_hilbert,
     ramified_real_places_by_symbol,
 )
+from test_subspaces import _element_with_signs
 from test_symbols import elements
 
 RNG = random.Random(1105)
@@ -53,17 +47,6 @@ def random_pair():
 RELATION_FIELDS = [QQ, Field(5), Field(3), Field(6), Field(17)]
 
 RELATIONS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
-
-
-def element_with_signs(rng, field, signs):
-    """A random element with the given sign at each real place."""
-    places = field.real_places()
-    while True:
-        a0 = Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 7)))
-        a1 = 0 if field.is_rational else Fraction(rng.randint(-15, 15), rng.choice((1, 2, 5)))
-        x = field.element(a0, a1)
-        if x and tuple(sign_at_real_place(x, v) for v in places) == signs:
-            return x
 
 
 def real_place_decisions(D, v0):
@@ -207,8 +190,8 @@ class TestRealPlacesBySign:
         patterns = list(product((1, -1), repeat=field.degree))
         for sa, sb in product(patterns, repeat=2):
             for _ in range(10 if field.is_rational else 3):
-                a = element_with_signs(rng, field, sa)
-                D = quaternion_algebra(field, a, element_with_signs(rng, field, sb))
+                a = _element_with_signs(rng, field, sa)
+                D = quaternion_algebra(field, a, _element_with_signs(rng, field, sb))
                 expected = ramified_real_places_by_symbol(D)
                 assert ramified_real_places(D) == expected, str(D)
                 assert {v for v in ramification_set(D) if v.is_real} == set(expected), str(D)
